@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .syntax import (
     App,
@@ -11,7 +10,6 @@ from .syntax import (
     Term,
     Val,
     Var,
-    format_value,
     parse_substitution_pairs,
     term_to_str,
     term_vars,
@@ -203,10 +201,6 @@ def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
     return JSubst(tuple(sorted(out.items())))
 
 
-def subst_to_str(theta: JSubst) -> str:
-    return str(theta)
-
-
 def parse_subst(text: str, J: Algebra, allow_fresh: bool = False) -> JSubst:
     pairs = parse_substitution_pairs(text, J.signature, allow_fresh)
     return make_subst(pairs, J)
@@ -214,9 +208,6 @@ def parse_subst(text: str, J: Algebra, allow_fresh: bool = False) -> JSubst:
 
 # ---------------------------------------------------------------------------
 # Atom truth
-
-NON_GROUND = None  # atom_truth's third verdict
-
 
 def atom_truth(atom, theta: JSubst, J: Algebra):
     """Truth of a non-equation atom under theta: True, False, or None (non-ground)."""
@@ -230,7 +221,7 @@ def atom_truth(atom, theta: JSubst, J: Algebra):
         raise TypeError(f"atom_truth expects a non-equation atom, got {atom!r}")
     applied = [apply_subst(a, theta) for a in args]
     if not all(term_is_ground(a) for a in applied):
-        return NON_GROUND
+        return None
     return J.rel_truth(rel, [eval_ground(a, J) for a in applied])
 
 
@@ -264,9 +255,3 @@ def subst_names(theta: JSubst) -> set[str]:
         out.add(name)
         out |= term_vars(t)
     return out
-
-
-def format_domain_value(v) -> str:
-    if isinstance(v, (int, Fraction)):
-        return format_value(v)
-    return term_to_str(v)

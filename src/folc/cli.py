@@ -17,7 +17,7 @@ import sys
 
 from .algebra import EMPTY_SUBST, Algebra, herbrand_algebra, int_algebra, parse_subst, rat_algebra
 from .corpus import soundness_corpus
-from .infer import get_policy
+from .infer import POLICIES, get_policy
 from .oracle import DepthBound, IntervalBound, check_soundness
 from .semantics import evaluate, make_context
 from .state import ERROR, Pair, Store
@@ -41,11 +41,7 @@ def _build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--algebra", choices=("herbrand", "int", "rat"), default="int")
         sp.add_argument("--sig", help='constructor declarations, e.g. "f/1,g/2,a/0,b/0"')
-        sp.add_argument(
-            "--policy",
-            choices=("baseline", "unify", "atoms", "linear", "literals", "diseq"),
-            default="baseline",
-        )
+        sp.add_argument("--policy", choices=sorted(POLICIES), default="baseline")
         sp.add_argument("--store", help='initial constraint store: formulas joined by ";"')
         sp.add_argument("--theta", help='initial substitution, e.g. "{x/1, y/f(a)}"')
 

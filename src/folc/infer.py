@@ -6,11 +6,17 @@ healthiness conditions (equivalence, renaming-insensitivity, sound
 inconsistency, error preservation, identity on empty stores).  All policies
 here except the baseline are maximal repetitions of a single propagation
 step over a passive/active split of the store.
+
+Such a policy is an instance of StorePolicy: a name, the algebras it is
+sound over, an admission test deciding which stores it handles (any other
+store is error), and one resolve rule, one subclass per rule (unification,
+literal truth, disequations, Gaussian pivoting).  StorePolicy.step resolves
+every constraint of the store once and acts on the last active one; aux
+repeats step until no constraint is active.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +24,6 @@ from .algebra import (
     Algebra,
     JSubst,
     apply_subst,
-    atom_truth,
     compose,
     j_eval,
     literal_truth,
@@ -51,12 +56,10 @@ from .syntax import (
     Val,
     Var,
     all_names,
+    max_fresh_index,
     rename_free,
     term_vars,
 )
-
-_FRESH_RE = re.compile(r"\$u(\d+)$")
-
 
 # ---------------------------------------------------------------------------
 # Unification (Herbrand)
@@ -252,30 +255,7 @@ def rewrite_linear(e: Eq, theta: JSubst, J: Algebra):
 
 
 # ---------------------------------------------------------------------------
-# split / step / aux
-
-
-@dataclass(frozen=True)
-class SplitState:
-    """A store partitioned into passive and active lists under a substitution."""
-
-    passive: tuple[Formula, ...]
-    active: tuple[Formula, ...]
-    subst: JSubst
-
-
-def aux(sigma, step, split, J: Algebra):
-    """Maximal repetition of split-then-step until no active constraints remain."""
-    finished = []
-    work = [sigma]
-    while work:
-        current = work.pop(0)
-        ss = split(current, J)
-        if not ss.active:
-            finished.append(current)
-        else:
-            work.extend(step(ss, J))
-    return dedup(finished)
+# The policy contract and the store policies
 
 
 class InferPolicy:
@@ -283,9 +263,6 @@ class InferPolicy:
 
     name = "?"
     algebras: tuple[str, ...] | None = None  # None: any algebra
-
-    def special(self, sigma, J: Algebra) -> bool:
-        raise NotImplementedError
 
     def apply(self, sigma, J: Algebra):
         raise NotImplementedError
@@ -301,44 +278,57 @@ class InferPolicy:
         return f"<policy {self.name}>"
 
 
-class StorePolicy(InferPolicy):
-    """aux-driven policy: error/{}/inconsistent handled first, then propagation."""
+def aux(policy: StorePolicy, sigma, J: Algebra):
+    """Maximal repetition of policy.step: () on fail, else the fixpoint state."""
+    while True:
+        succ = policy.step(sigma, J)
+        if succ is None:
+            return ()
+        if succ is sigma:
+            return (sigma,)
+        sigma = succ
 
-    def admits(self, f: Formula) -> bool:
-        raise NotImplementedError
+
+class StorePolicy(InferPolicy):
+    """aux-driven policy: an admission test plus one resolve rule.
+
+    apply hands a store to aux only when every formula passes admits; resolve
+    classifies one constraint under the substitution as passive or as active
+    with its outcome.
+    """
+
+    def __init__(self, name: str, algebras: tuple[str, ...] | None, admits):
+        self.name = name
+        self.algebras = algebras
+        self.admits = admits
 
     def resolve(self, f: Formula, theta: JSubst, J: Algebra):
         """('bind', theta') | ('drop',) | ('fail',) | ('passive',) for one constraint."""
         raise NotImplementedError
 
-    def special(self, sigma, J: Algebra) -> bool:
-        if sigma is ERROR:
-            return False
-        return all(self.admits(f) for f in sigma.store)
+    def step(self, sigma, J: Algebra):
+        """One round: resolve every constraint once and act on the last active one.
 
-    def split(self, sigma, J: Algebra) -> SplitState:
+        Returns sigma itself when no constraint is active, None when the last
+        active one fails, and otherwise the state with the passive constraints
+        followed by the remaining active ones, in store order.
+        """
         passive = []
         active = []
+        outcome = None
         for f in sigma.store:
-            if self.resolve(f, sigma.subst, J)[0] == "passive":
+            resolved = self.resolve(f, sigma.subst, J)
+            if resolved[0] == "passive":
                 passive.append(f)
             else:
                 active.append(f)
-        return SplitState(tuple(passive), tuple(active), sigma.subst)
-
-    def step(self, ss: SplitState, J: Algebra):
-        if not ss.active:
-            return (Pair(Store(ss.passive), ss.subst),)
-        f = ss.active[-1]
-        rest = ss.passive + ss.active[:-1]
-        outcome = self.resolve(f, ss.subst, J)
-        if outcome[0] == "bind":
-            return (Pair(Store(rest), outcome[1]),)
-        if outcome[0] == "drop":
-            return (Pair(Store(rest), ss.subst),)
+                outcome = resolved
+        if outcome is None:
+            return sigma
         if outcome[0] == "fail":
-            return ()
-        raise AssertionError("step reached a passive constraint")
+            return None
+        subst = outcome[1] if outcome[0] == "bind" else sigma.subst
+        return Pair(Store(passive + active[:-1]), subst)
 
     def apply(self, sigma, J: Algebra):
         if sigma is ERROR:
@@ -347,19 +337,13 @@ class StorePolicy(InferPolicy):
             return (sigma,)
         if classify(sigma, J) is Classification.INCONSISTENT:
             return ()
-        if not self.special(sigma, J):
+        if not all(self.admits(f) for f in sigma.store):
             return (ERROR,)
-        return aux(sigma, self.step, self.split, J)
+        return aux(self, sigma, J)
 
 
 class UnifyPolicy(StorePolicy):
     """Equations as active constraints: every step is a unification."""
-
-    name = "unify"
-    algebras = ("herbrand",)
-
-    def admits(self, f):
-        return isinstance(f, Eq)
 
     def resolve(self, f, theta, J):
         eta = mgu(apply_subst(f.lhs, theta), apply_subst(f.rhs, theta))
@@ -368,32 +352,8 @@ class UnifyPolicy(StorePolicy):
         return ("bind", compose(theta, eta, J))
 
 
-class AtomsPolicy(StorePolicy):
-    """Atoms as passive constraints: whatever would evaluate to error waits."""
-
-    name = "atoms"
-
-    def admits(self, f):
-        lit = as_literal(f)
-        return lit is not None and lit[0]
-
-    def resolve(self, f, theta, J):
-        if isinstance(f, Eq):
-            outcome = equation_step(f.lhs, f.rhs, theta, J)
-            return ("passive",) if outcome[0] == "error" else outcome
-        truth = atom_truth(f, theta, J)
-        if truth is None:
-            return ("passive",)
-        return ("drop",) if truth else ("fail",)
-
-
 class LiteralsPolicy(StorePolicy):
-    """Atoms-as-passive extended with negative literals as passive constraints."""
-
-    name = "literals"
-
-    def admits(self, f):
-        return as_literal(f) is not None
+    """Literals that would evaluate to error wait in the store as passive tests."""
 
     def resolve(self, f, theta, J):
         if isinstance(f, Eq):
@@ -405,26 +365,16 @@ class LiteralsPolicy(StorePolicy):
         return ("drop",) if truth else ("fail",)
 
 
-class DiseqPolicy(StorePolicy):
+class DiseqPolicy(UnifyPolicy):
     """Equality and disequality constraints over Herbrand.
 
     Equations are always active (full unification); a disequation is active
     when it is ground under the substitution or both sides coincide.
     """
 
-    name = "diseq"
-    algebras = ("herbrand",)
-
-    def admits(self, f):
-        lit = as_literal(f)
-        return lit is not None and isinstance(lit[1], Eq)
-
     def resolve(self, f, theta, J):
         if isinstance(f, Eq):
-            eta = mgu(apply_subst(f.lhs, theta), apply_subst(f.rhs, theta))
-            if eta is None:
-                return ("fail",)
-            return ("bind", compose(theta, eta, J))
+            return super().resolve(f, theta, J)
         _, eq = as_literal(f)
         sa = apply_subst(eq.lhs, theta)
         ta = apply_subst(eq.rhs, theta)
@@ -438,12 +388,6 @@ class DiseqPolicy(StorePolicy):
 class LinearPolicy(StorePolicy):
     """Linear equations active (Gaussian elimination), non-linear ones passive."""
 
-    name = "linear"
-    algebras = ("rat",)
-
-    def admits(self, f):
-        return isinstance(f, Eq)
-
     def resolve(self, f, theta, J):
         shape = rewrite_linear(f, theta, J)
         if isinstance(shape, Trivial):
@@ -454,6 +398,24 @@ class LinearPolicy(StorePolicy):
             eta = make_subst([(shape.var, shape.expr)], J)
             return ("bind", compose(theta, eta, J))
         return ("passive",)
+
+
+def _is_equation(f: Formula) -> bool:
+    return isinstance(f, Eq)
+
+
+def _is_positive_literal(f: Formula) -> bool:
+    lit = as_literal(f)
+    return lit is not None and lit[0]
+
+
+def _is_literal(f: Formula) -> bool:
+    return as_literal(f) is not None
+
+
+def _is_equality_literal(f: Formula) -> bool:
+    lit = as_literal(f)
+    return lit is not None and isinstance(lit[1], Eq)
 
 
 # ---------------------------------------------------------------------------
@@ -492,27 +454,19 @@ def baseline_infer(sigma, J: Algebra):
 
 class BaselinePolicy(InferPolicy):
     name = "baseline"
-    algebras = None
-
-    def special(self, sigma, J):
-        return (
-            sigma is not ERROR
-            and len(sigma.store) == 1
-            and isinstance(sigma.store.items[0], (Atom, Eq, Neq, Bottom))
-        )
 
     def apply(self, sigma, J):
         return baseline_infer(sigma, J)
 
 
-# module-level policy singletons and free-function views of split/step
+# module-level policy instances
 
 BASELINE = BaselinePolicy()
-UNIFY = UnifyPolicy()
-ATOMS = AtomsPolicy()
-LINEAR = LinearPolicy()
-LITERALS = LiteralsPolicy()
-DISEQ = DiseqPolicy()
+UNIFY = UnifyPolicy("unify", ("herbrand",), _is_equation)
+ATOMS = LiteralsPolicy("atoms", None, _is_positive_literal)  # literal_truth is atom_truth on atoms
+LINEAR = LinearPolicy("linear", ("rat",), _is_equation)
+LITERALS = LiteralsPolicy("literals", None, _is_literal)
+DISEQ = DiseqPolicy("diseq", ("herbrand",), _is_equality_literal)
 
 POLICIES = {p.name: p for p in (BASELINE, UNIFY, ATOMS, LINEAR, LITERALS, DISEQ)}
 
@@ -524,41 +478,8 @@ def get_policy(name: str) -> InferPolicy:
         raise ValueError(f"unknown policy {name!r}; known: {', '.join(sorted(POLICIES))}")
 
 
-def split_atoms(sigma, J: Algebra) -> SplitState:
-    return ATOMS.split(sigma, J)
-
-
-def step_atoms(ss: SplitState, J: Algebra):
-    return ATOMS.step(ss, J)
-
-
-def step_unify(ss: SplitState, J: Algebra):
-    return UNIFY.step(ss, J)
-
-
-def step_linear(ss: SplitState, J: Algebra):
-    return LINEAR.step(ss, J)
-
-
-def step_literals(ss: SplitState, J: Algebra):
-    return LITERALS.step(ss, J)
-
-
-def step_diseq(ss: SplitState, J: Algebra):
-    return DISEQ.step(ss, J)
-
-
 # ---------------------------------------------------------------------------
 # The store-free reference semantics
-
-
-def _max_fresh_index(names) -> int:
-    top = 0
-    for n in names:
-        m = _FRESH_RE.match(n)
-        if m:
-            top = max(top, int(m.group(1)))
-    return top
 
 
 def storeless_eval(phi: Formula, theta: JSubst, J: Algebra):
@@ -569,7 +490,7 @@ def storeless_eval(phi: Formula, theta: JSubst, J: Algebra):
     semantics into the store-carrying evaluator.  Used as the reference
     side of the embedding differential test.
     """
-    counter = [_max_fresh_index(all_names(phi) | subst_names(theta))]
+    counter = [max_fresh_index(all_names(phi) | subst_names(theta))]
 
     def fresh() -> str:
         counter[0] += 1

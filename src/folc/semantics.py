@@ -10,15 +10,25 @@ state afterwards.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .algebra import Algebra, subst_names
 from .infer import InferPolicy
 from .state import ERROR, Pair, cons, cons_plus, dedup, drop_state
-from .syntax import And, Atom, Bottom, Eq, Exists, Formula, Neq, Not, Or, all_names, rename_free
-
-_FRESH_RE = re.compile(r"\$u(\d+)$")
+from .syntax import (
+    And,
+    Atom,
+    Bottom,
+    Eq,
+    Exists,
+    Formula,
+    Neq,
+    Not,
+    Or,
+    all_names,
+    max_fresh_index,
+    rename_free,
+)
 
 
 @dataclass
@@ -54,12 +64,7 @@ def _prime_counter(ctx: EvalContext, phi: Formula, sigma) -> None:
         names |= subst_names(sigma.subst)
         for f in sigma.store:
             names |= all_names(f)
-    top = ctx.fresh_counter
-    for n in names:
-        m = _FRESH_RE.match(n)
-        if m:
-            top = max(top, int(m.group(1)))
-    ctx.fresh_counter = top
+    ctx.fresh_counter = max(ctx.fresh_counter, max_fresh_index(names))
 
 
 def evaluate(phi: Formula, sigma, ctx: EvalContext):

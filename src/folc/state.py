@@ -100,10 +100,6 @@ def pair(formulas, subst: JSubst) -> Pair:
     return Pair(Store(formulas), subst)
 
 
-def state_to_str(sigma) -> str:
-    return str(sigma)
-
-
 def dedup(states) -> AnswerSet:
     seen = set()
     out = []

@@ -25,6 +25,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 FRESH_PREFIX = "$"
+_FRESH_RE = re.compile(r"\$u(\d+)$")
+
+
+def max_fresh_index(names) -> int:
+    """The largest n among fresh names $u<n> in names, or 0 if there are none."""
+    top = 0
+    for n in names:
+        m = _FRESH_RE.match(n)
+        if m:
+            top = max(top, int(m.group(1)))
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +395,8 @@ class _Parser:
                 den = self.next()
                 if den.kind != "number":
                     raise ParseError("expected a denominator", den.pos)
+                if int(den.text) == 0:
+                    raise ParseError("zero denominator", den.pos)
                 return Val(Fraction(num, int(den.text)))
             return Val(Fraction(num))
         return Val(num)

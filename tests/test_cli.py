@@ -42,6 +42,19 @@ class TestEvalCommand:
         assert main(["eval", "--algebra", "int", "x = "]) == 3  # parse error
         assert main(["eval", "--algebra", "int", "--theta", "{x/}", "x = 1"]) == 3
 
+    def test_zero_denominator_is_a_parse_error(self, capsys):
+        capsys.readouterr()
+        assert main(["eval", "--algebra", "rat", "--policy", "linear", "x = 1/0"]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["folc: zero denominator (at position 6)"]
+        assert main(["eval", "--algebra", "rat", "--theta", "{x/2/0}", "x = 1"]) == 3
+
+    def test_policy_choices_come_from_the_registry(self, capsys):
+        from folc.infer import POLICIES
+
+        assert main(["eval", "--policy", "nope", "x = 1"]) == 3
+        assert ", ".join(f"'{name}'" for name in sorted(POLICIES)) in capsys.readouterr().err
+
     def test_store_and_theta_flags(self, capsys):
         code = main(
             [

@@ -16,7 +16,6 @@ from folc.infer import (
     Contradiction,
     NonLinear,
     Pivot,
-    SplitState,
     Trivial,
     storeless_eval,
     aux,
@@ -24,12 +23,6 @@ from folc.infer import (
     get_policy,
     mgu,
     rewrite_linear,
-    split_atoms,
-    step_atoms,
-    step_diseq,
-    step_linear,
-    step_literals,
-    step_unify,
 )
 from folc.state import ERROR, Pair, Store, pair
 from folc.syntax import Atom, Not, Or, Val, Var, free_vars, parse_formula
@@ -96,18 +89,18 @@ class TestBaselineInfer:
 class TestAux:
     def test_no_active_is_fixpoint(self, int_alg):
         sigma = pair([F("y < z", int_alg)], EMPTY_SUBST)
-        assert aux(sigma, ATOMS.step, ATOMS.split, int_alg) == (sigma,)
+        assert aux(ATOMS, sigma, int_alg) == (sigma,)
 
     def test_atoms_worked_example(self, int_alg):
         sigma = pair(
             [F("y < z", int_alg), F("y = 1", int_alg), F("z = 2", int_alg)], EMPTY_SUBST
         )
-        assert aux(sigma, ATOMS.step, ATOMS.split, int_alg) == (
+        assert aux(ATOMS, sigma, int_alg) == (
             pair((), parse_subst("{y/1, z/2}", int_alg)),
         )
 
     def test_measure_decreases(self, int_alg, herb, rat_alg):
-        # every split-step either binds a variable of the applied store or
+        # every step either binds a variable of the applied store or
         # consumes a constraint without touching the substitution
         rng = random.Random(3)
         from folc.corpus import gen_store_formula
@@ -122,15 +115,11 @@ class TestAux:
                 formulas = [f for f in formulas if policy.admits(f)]
                 sigma = pair(formulas, EMPTY_SUBST)
                 for _ in range(30):
-                    ss = policy.split(sigma, J)
-                    if not ss.active:
-                        break
                     before = _measure(sigma, J)
-                    successors = policy.step(ss, J)
-                    assert len(successors) <= 1
-                    if not successors:
+                    succ = policy.step(sigma, J)
+                    if succ is None or succ is sigma:
                         break
-                    sigma = successors[0]
+                    sigma = succ
                     assert _measure(sigma, J) < before
 
 
@@ -156,9 +145,8 @@ class TestUnifyPolicy:
         assert UNIFY.apply(pair((), theta), herb) == (pair((), theta),)
 
     def test_step_on_empty_active_returns_state(self, herb):
-        theta = parse_subst("{x/a}", herb)
-        ss = SplitState((), (), theta)
-        assert step_unify(ss, herb) == (pair((), theta),)
+        sigma = pair((), parse_subst("{x/a}", herb))
+        assert UNIFY.step(sigma, herb) is sigma
 
     def test_occurs_check_is_inconsistency(self, herb):
         assert UNIFY.apply(pair([F("x = f(x)", herb)], EMPTY_SUBST), herb) == ()
@@ -166,36 +154,51 @@ class TestUnifyPolicy:
 
 class TestAtomsPolicy:
     def test_split_error_atoms_passive(self, int_alg):
+        assert ATOMS.resolve(F("y < z", int_alg), EMPTY_SUBST, int_alg) == ("passive",)
+        assert ATOMS.resolve(F("y = 1", int_alg), EMPTY_SUBST, int_alg) == (
+            "bind",
+            parse_subst("{y/1}", int_alg),
+        )
         sigma = pair([F("y < z", int_alg), F("y = 1", int_alg)], EMPTY_SUBST)
-        ss = split_atoms(sigma, int_alg)
-        assert ss.passive == (F("y < z", int_alg),)
-        assert ss.active == (F("y = 1", int_alg),)
+        assert ATOMS.step(sigma, int_alg) == Pair(
+            Store([F("y < z", int_alg)]), parse_subst("{y/1}", int_alg)
+        )
 
     def test_ground_atom_is_active(self, int_alg):
-        sigma = Pair(Store([F("y < z", int_alg)]), parse_subst("{y/1, z/2}", int_alg))
-        ss = split_atoms(sigma, int_alg)
-        assert ss.passive == () and ss.active == sigma.store.items
+        theta = parse_subst("{y/1, z/2}", int_alg)
+        assert ATOMS.resolve(F("y < z", int_alg), theta, int_alg) == ("drop",)
+        assert ATOMS.step(pair([F("y < z", int_alg)], theta), int_alg) == pair((), theta)
 
     def test_empty_store(self, int_alg):
-        theta = parse_subst("{x/1}", int_alg)
-        ss = split_atoms(pair((), theta), int_alg)
-        assert ss == SplitState((), (), theta)
+        sigma = pair((), parse_subst("{x/1}", int_alg))
+        assert ATOMS.step(sigma, int_alg) is sigma
 
     def test_step_binds_last_active(self, int_alg):
-        ss = SplitState(
-            (F("y < z", int_alg),), (F("z = 2", int_alg),), parse_subst("{y/1}", int_alg)
+        sigma = pair([F("y < z", int_alg), F("z = 2", int_alg)], parse_subst("{y/1}", int_alg))
+        assert ATOMS.step(sigma, int_alg) == Pair(
+            Store([F("y < z", int_alg)]), parse_subst("{y/1, z/2}", int_alg)
         )
-        assert step_atoms(ss, int_alg) == (
-            Pair(Store([F("y < z", int_alg)]), parse_subst("{y/1, z/2}", int_alg)),
+
+    def test_step_resolves_last_active_and_keeps_store_order(self, int_alg):
+        # two active equations around one passive atom: the last active one
+        # is resolved, and the successor lists the passive constraint first
+        sigma = pair(
+            [F("y = 1", int_alg), F("y < z", int_alg), F("z = 2", int_alg)], EMPTY_SUBST
         )
+        succ = ATOMS.step(sigma, int_alg)
+        assert succ.subst == parse_subst("{z/2}", int_alg)
+        assert str(succ) == "<y < z; y = 1 | {z/2}>"
+        assert str(ATOMS.step(succ, int_alg)) == "<y < z | {y/1, z/2}>"
+        assert str(ATOMS.step(ATOMS.step(succ, int_alg), int_alg)) == "<{} | {y/1, z/2}>"
 
     def test_step_true_and_false_ground_atoms(self, int_alg):
         true_atom = Atom("<", (Val(1), Val(2)))
         false_atom = Atom("<", (Val(2), Val(1)))
-        assert step_atoms(SplitState((), (true_atom,), EMPTY_SUBST), int_alg) == (
-            pair((), EMPTY_SUBST),
-        )
-        assert step_atoms(SplitState((), (false_atom,), EMPTY_SUBST), int_alg) == ()
+        assert ATOMS.resolve(true_atom, EMPTY_SUBST, int_alg) == ("drop",)
+        assert ATOMS.resolve(false_atom, EMPTY_SUBST, int_alg) == ("fail",)
+        assert ATOMS.step(pair([true_atom], EMPTY_SUBST), int_alg) == pair((), EMPTY_SUBST)
+        assert ATOMS.step(pair([false_atom], EMPTY_SUBST), int_alg) is None
+        assert ATOMS.apply(pair([false_atom], EMPTY_SUBST), int_alg) == ()
 
     def test_disequations_are_not_special(self, int_alg):
         # Neq and ~(Eq) coalesce: the atoms policy accepts neither
@@ -206,13 +209,13 @@ class TestAtomsPolicy:
 class TestLiteralsPolicy:
     def test_true_negative_literal_dropped(self, int_alg):
         lit = Not(F("1 = 2", int_alg))
-        assert step_literals(SplitState((), (lit,), EMPTY_SUBST), int_alg) == (
-            pair((), EMPTY_SUBST),
-        )
+        assert LITERALS.resolve(lit, EMPTY_SUBST, int_alg) == ("drop",)
+        assert LITERALS.step(pair([lit], EMPTY_SUBST), int_alg) == pair((), EMPTY_SUBST)
 
     def test_false_negative_literal_fails(self, int_alg):
         lit = Not(F("1 = 1", int_alg))
-        assert step_literals(SplitState((), (lit,), EMPTY_SUBST), int_alg) == ()
+        assert LITERALS.resolve(lit, EMPTY_SUBST, int_alg) == ("fail",)
+        assert LITERALS.step(pair([lit], EMPTY_SUBST), int_alg) is None
 
     def test_non_ground_negative_literal_passive(self, int_alg):
         sigma = pair([Not(F("x = 1", int_alg))], EMPTY_SUBST)
@@ -227,12 +230,12 @@ class TestLiteralsPolicy:
 
 class TestDiseqPolicy:
     def test_identical_sides_fail(self, herb):
-        assert step_diseq(SplitState((), (F("x /= x", herb),), EMPTY_SUBST), herb) == ()
+        assert DISEQ.resolve(F("x /= x", herb), EMPTY_SUBST, herb) == ("fail",)
+        assert DISEQ.step(pair([F("x /= x", herb)], EMPTY_SUBST), herb) is None
 
     def test_ground_distinct_dropped(self, herb):
-        assert step_diseq(SplitState((), (F("a /= b", herb),), EMPTY_SUBST), herb) == (
-            pair((), EMPTY_SUBST),
-        )
+        assert DISEQ.resolve(F("a /= b", herb), EMPTY_SUBST, herb) == ("drop",)
+        assert DISEQ.step(pair([F("a /= b", herb)], EMPTY_SUBST), herb) == pair((), EMPTY_SUBST)
 
     def test_non_ground_waits(self, herb):
         sigma = pair([F("x /= y", herb)], EMPTY_SUBST)
@@ -278,10 +281,16 @@ class TestLinearPolicy:
         assert LINEAR.apply(pair([F("0 * x = 1", rat_alg)], EMPTY_SUBST), rat_alg) == ()
 
     def test_step_reclassifies(self, rat_alg):
-        ss = SplitState((F("x * y = 4", rat_alg),), (F("x = 2", rat_alg),), EMPTY_SUBST)
-        (result,) = step_linear(ss, rat_alg)
+        nonlinear = F("x * y = 4", rat_alg)
+        assert LINEAR.resolve(nonlinear, EMPTY_SUBST, rat_alg) == ("passive",)
+        result = LINEAR.step(pair([nonlinear, F("x = 2", rat_alg)], EMPTY_SUBST), rat_alg)
         assert result.subst == parse_subst("{x/2}", rat_alg)
-        assert F("x * y = 4", rat_alg) in result.store
+        assert nonlinear in result.store
+        # under {x/2} the product is linear and becomes active
+        assert LINEAR.resolve(nonlinear, result.subst, rat_alg) == (
+            "bind",
+            parse_subst("{x/2, y/2}", rat_alg),
+        )
 
 
 class TestNonSpecialStates:
