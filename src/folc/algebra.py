@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .syntax import (
     App,
+    Atom,
+    Bottom,
+    Eq,
+    Neq,
+    Not,
     Signature,
     Term,
     Val,
@@ -145,10 +151,12 @@ class JSubst:
     bindings: tuple[tuple[str, Term], ...] = ()
 
     def get(self, name: str):
-        for n, t in self.bindings:
-            if n == name:
-                return t
-        return None
+        return self._mapping.get(name)
+
+    @cached_property
+    def _mapping(self) -> dict[str, Term]:
+        # Kept in the instance dict, outside the fields: ==, hash and repr ignore it.
+        return dict(self.bindings)
 
     def domain(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.bindings)
@@ -211,8 +219,6 @@ def parse_subst(text: str, J: Algebra, allow_fresh: bool = False) -> JSubst:
 
 def atom_truth(atom, theta: JSubst, J: Algebra):
     """Truth of a non-equation atom under theta: True, False, or None (non-ground)."""
-    from .syntax import Atom, Neq  # local to avoid import clutter at top
-
     if isinstance(atom, Neq):
         rel, args = "/=", (atom.lhs, atom.rhs)
     elif isinstance(atom, Atom):
@@ -230,8 +236,6 @@ def literal_truth(f, theta: JSubst, J: Algebra):
 
     Returns True/False when decided, None when non-ground or not a literal.
     """
-    from .syntax import Atom, Bottom, Eq, Neq, Not
-
     if isinstance(f, Bottom):
         return False
     if isinstance(f, Eq):

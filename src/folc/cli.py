@@ -6,6 +6,8 @@
 Exit codes for eval: 0 when the answer set is non-empty and error-free, 1
 when it contains the error state, 2 when it is empty (inconsistency), 3 on
 usage or parse errors.  check exits 0 iff the report has no violations.
+Both exit 4 on a resource limit: a formula nested too deeply for the
+recursive walks.
 """
 
 from __future__ import annotations
@@ -188,6 +190,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"folc: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("folc: formula nests too deeply for the recursive walks", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -48,10 +48,6 @@ class EvalContext:
         self.fresh_counter += 1
         return f"$u{self.fresh_counter}"
 
-    def emit(self, event: dict) -> None:
-        if self.trace is not None:
-            self.trace(event)
-
 
 def make_context(algebra: Algebra, policy: InferPolicy, trace=None) -> EvalContext:
     policy.check_algebra(algebra)
@@ -83,28 +79,30 @@ def eval_set(phi: Formula, states, ctx: EvalContext):
 
 def _infer(sigma, ctx: EvalContext):
     result = ctx.policy.apply(sigma, ctx.algebra)
-    ctx.emit(
-        {
-            "event": "infer",
-            "policy": ctx.policy.name,
-            "state": str(sigma),
-            "output": [str(s) for s in result],
-        }
-    )
+    if ctx.trace is not None:
+        ctx.trace(
+            {
+                "event": "infer",
+                "policy": ctx.policy.name,
+                "state": str(sigma),
+                "output": [str(s) for s in result],
+            }
+        )
     return result
 
 
 def _eval(phi: Formula, sigma, ctx: EvalContext):
     result = _eval_clause(phi, sigma, ctx)
-    ctx.emit(
-        {
-            "event": "clause",
-            "clause": type(phi).__name__.lower(),
-            "formula": str(phi),
-            "state": str(sigma),
-            "output": [str(s) for s in result],
-        }
-    )
+    if ctx.trace is not None:  # the events print every state: build them only for a sink
+        ctx.trace(
+            {
+                "event": "clause",
+                "clause": type(phi).__name__.lower(),
+                "formula": str(phi),
+                "state": str(sigma),
+                "output": [str(s) for s in result],
+            }
+        )
     return result
 
 

@@ -60,6 +60,17 @@ class App(Term):
     symbol: str
     args: tuple[Term, ...] = ()
 
+    def __hash__(self) -> int:
+        # The dataclass field hash, computed once per node: otherwise every set
+        # a deep spine enters rehashes it in full.  It lives in the instance
+        # dict (written directly, past the frozen setattr), outside the fields,
+        # so ==, repr and fields() ignore it.  str hashes differ between
+        # processes, so the value holds only in the process that computed it.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.symbol, self.args))
+        return h
+
     def __str__(self) -> str:
         return term_to_str(self)
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from folc.algebra import (
     EMPTY_SUBST,
+    JSubst,
     apply_subst,
     atom_truth,
     compose,
@@ -114,6 +116,22 @@ class TestSubstNormalForm:
     def test_printing(self, int_alg):
         assert str(parse_subst("{y/2, x/1}", int_alg)) == "{x/1, y/2}"
         assert str(EMPTY_SUBST) == "{}"
+
+    def test_get_cache_is_invisible(self, int_alg):
+        theta = parse_subst("{x/1, y/z + 1}", int_alg)
+        fresh = JSubst(theta.bindings)
+        assert theta.get("y") == App("+", (z, Val(1)))
+        assert theta == fresh and hash(theta) == hash(fresh)
+        assert repr(theta) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(JSubst)] == ["bindings"]
+
+    @given(st.lists(st.tuples(st.sampled_from("uvwxyz"), int_terms()), max_size=6))
+    def test_get_agrees_with_the_bindings(self, pairs):
+        theta = JSubst(tuple(sorted(dict(pairs).items())))
+        bound = dict(theta.bindings)
+        for name in "uvwxyz":
+            assert theta.get(name) == bound.get(name)
+            assert (theta.get(name) is None) == (name not in bound)
 
     def test_fraction_printing(self, rat_alg):
         theta = make_subst([("x", Val(Fraction(3, 2)))], rat_alg)

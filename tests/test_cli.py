@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from folc.algebra import herbrand_algebra, int_algebra
 from folc.cli import main, state_from_json, state_to_json
 from folc.state import ERROR
@@ -48,6 +50,21 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.splitlines() == ["folc: zero denominator (at position 6)"]
         assert main(["eval", "--algebra", "rat", "--theta", "{x/2/0}", "x = 1"]) == 3
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            " & ".join(f"x{i} = {i}" for i in range(2000)),
+            "~" * 3000 + "x = 1",
+        ],
+        ids=["2000-conjuncts", "3000-negations"],
+    )
+    def test_deep_nesting_is_a_resource_limit(self, capsys, formula):
+        capsys.readouterr()
+        assert main(["eval", "--algebra", "int", "--policy", "atoms", formula]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["folc: formula nests too deeply for the recursive walks"]
 
     def test_policy_choices_come_from_the_registry(self, capsys):
         from folc.infer import POLICIES

@@ -8,6 +8,7 @@ from folc.infer import get_policy
 from folc.oracle import IntervalBound, models
 from folc.semantics import eval_set, evaluate, make_context
 from folc.state import ERROR, EMPTY_STORE, Pair, Store, pair
+from folc import syntax
 from folc.syntax import And, Not, parse_formula
 from conftest import int_formulas
 
@@ -161,6 +162,26 @@ class TestFreshNames:
         events = []
         ctx = make_context(int_alg, get_policy("baseline"), trace=events.append)
         evaluate(parse_formula("x = 1 | x = 2", int_alg.signature), Pair(EMPTY_STORE, EMPTY_SUBST), ctx)
-        kinds = {e["event"] for e in events}
-        assert kinds == {"clause", "infer"}
-        assert any(e.get("clause") == "or" for e in events)
+        empty = "<{} | {}>"
+        assert events == [
+            {"event": "infer", "policy": "baseline", "state": "<x = 1 | {}>", "output": ["<{} | {x/1}>"]},
+            {"event": "clause", "clause": "eq", "formula": "x = 1", "state": empty, "output": ["<{} | {x/1}>"]},
+            {"event": "infer", "policy": "baseline", "state": "<x = 2 | {}>", "output": ["<{} | {x/2}>"]},
+            {"event": "clause", "clause": "eq", "formula": "x = 2", "state": empty, "output": ["<{} | {x/2}>"]},
+            {
+                "event": "clause",
+                "clause": "or",
+                "formula": "x = 1 | x = 2",
+                "state": empty,
+                "output": ["<{} | {x/1}>", "<{} | {x/2}>"],
+            },
+        ]
+
+    def test_no_sink_prints_nothing(self, int_alg, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("printed with no trace sink attached")
+
+        monkeypatch.setattr(Pair, "__str__", refuse)
+        monkeypatch.setattr(syntax, "formula_to_str", refuse)
+        out = run("y < z & y = 1 & z = 2", int_alg, policy="atoms")
+        assert out == (pair((), parse_subst("{y/1, z/2}", int_alg)),)

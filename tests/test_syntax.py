@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 
@@ -20,7 +22,7 @@ from folc.syntax import (
     rename_free,
     term_to_str,
 )
-from conftest import herb_formulas, int_formulas, rat_formulas
+from conftest import herb_formulas, herb_terms, int_formulas, rat_formulas
 
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -163,3 +165,36 @@ class TestRoundTrip:
         assert term_to_str(App("-", (x, App("-", (y, z))))) == "x - (y - z)"
         assert term_to_str(App("-", (App("-", (x, y)), z))) == "x - y - z"
         assert term_to_str(App("*", (App("+", (x, y)), z))) == "(x + y) * z"
+
+
+def _rebuild(t):
+    if isinstance(t, App):
+        return App(t.symbol, tuple(_rebuild(a) for a in t.args))
+    return t
+
+
+class TestCachedHash:
+    """App caches its hash; the cache must not show in hash, ==, repr or fields()."""
+
+    @given(herb_terms())
+    def test_hash_is_the_field_hash(self, t):
+        if isinstance(t, App):
+            expected = hash((t.symbol, t.args))
+            assert hash(t) == expected
+            assert hash(t) == expected  # cached on the first call
+
+    @given(herb_terms())
+    def test_equal_terms_built_apart_agree(self, t):
+        hash(t)  # one side cached, the other not
+        copy = _rebuild(t)
+        assert copy == t
+        assert copy in {t}
+        assert hash(copy) == hash(t)
+
+    def test_fields_and_repr_unchanged(self):
+        t = App("f", (App("g", (x, App("a"))),))
+        before = repr(t)
+        hash(t)
+        assert repr(t) == before
+        assert before == "App(symbol='f', args=(App(symbol='g', args=(Var(name='x'), App(symbol='a', args=()))),))"
+        assert [f.name for f in dataclasses.fields(App)] == ["symbol", "args"]
