@@ -6,6 +6,12 @@ variables (re-enumerating quantifiers under the bound).  A syntactic guard
 decides whether the bounded verdict is exact; anything outside the guard
 comes back Unknown (None) rather than risking an unsound verdict.
 
+Each query is compiled once: every formula becomes a closure over an
+environment of variable values.  The free variables are then enumerated by
+backtracking, and each formula is tested as soon as its last free variable
+has a value, so one failing formula rules out every extension of the
+partial assignment.
+
 Over the exact rationals bounded enumeration cannot work (the order is
 dense), so linear queries are decided exactly by Fourier-Motzkin
 elimination instead; non-linear ones are Unknown.
@@ -17,8 +23,9 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
-from .algebra import Algebra, JSubst, apply_subst, j_eval
+from .algebra import Algebra, JSubst, apply_subst, eval_ground, j_eval
 from .semantics import make_context, evaluate
 from .state import ERROR, Pair, cons, cons_plus, drop_subst
 from .syntax import (
@@ -90,9 +97,10 @@ def subst_formula(f: Formula, theta: JSubst, J: Algebra, _fresh=None) -> Formula
         return Or(subst_formula(f.lhs, theta, J, _fresh), subst_formula(f.rhs, theta, J, _fresh))
     if isinstance(f, Exists):
         inner = drop_subst(f.var, theta)
+        body_free = free_vars(f.body)
         incoming = set()
         for name, value in inner.bindings:
-            if name in free_vars(f.body):
+            if name in body_free:
                 incoming |= term_vars(value)
         body, var = f.body, f.var
         if var in incoming:
@@ -294,45 +302,69 @@ def _herbrand_candidates(formulas, J: Algebra, bound: DepthBound, boost: int):
 
 
 # ---------------------------------------------------------------------------
-# Bounded truth
+# Bounded truth: each formula is compiled once into a closure over an
+# environment (a dict from variable names to carrier values)
 
 
-def _tval(t: Term, env: dict, J: Algebra):
+def _compile_term(t: Term, J: Algebra):
+    """A closure env -> the J-value of t; ground subterms are evaluated once."""
     if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, Val):
-        return t.value
-    return J.eval_fn(t.symbol, [_tval(a, env, J) for a in t.args])
+        return itemgetter(t.name)
+    if not term_vars(t):
+        value = eval_ground(t, J)
+        return lambda env: value
+    fn, symbol = J.eval_fn, t.symbol
+    if len(t.args) == 2:
+        a, b = _compile_term(t.args[0], J), t.args[1]
+        if not term_vars(b):  # x + 1: the constant is captured, not called
+            value = eval_ground(b, J)
+            return lambda env: fn(symbol, (a(env), value))
+        b = _compile_term(b, J)
+        return lambda env: fn(symbol, (a(env), b(env)))
+    args = [_compile_term(a, J) for a in t.args]
+    return lambda env: fn(symbol, [a(env) for a in args])
 
 
-def _truth(f: Formula, env: dict, J: Algebra, qcands: list) -> bool:
-    if isinstance(f, Eq):
-        return _tval(f.lhs, env, J) == _tval(f.rhs, env, J)
-    if isinstance(f, Neq):
-        return _tval(f.lhs, env, J) != _tval(f.rhs, env, J)
+def _compile(f: Formula, J: Algebra, qcands: list):
+    """The truth of f as a closure env -> bool; quantifiers range over qcands."""
+    if isinstance(f, (Eq, Neq)):
+        lhs, rhs = _compile_term(f.lhs, J), _compile_term(f.rhs, J)
+        if isinstance(f, Eq):
+            return lambda env: lhs(env) == rhs(env)
+        return lambda env: lhs(env) != rhs(env)
     if isinstance(f, Atom):
-        return J.rel_truth(f.rel, [_tval(a, env, J) for a in f.args])
+        truth, rel = J.rel_truth, f.rel
+        a, b = (_compile_term(t, J) for t in f.args)  # the guard admits binary atoms only
+        return lambda env: truth(rel, (a(env), b(env)))
     if isinstance(f, Not):
-        return not _truth(f.body, env, J, qcands)
+        body = _compile(f.body, J, qcands)
+        return lambda env: not body(env)
     if isinstance(f, And):
-        return _truth(f.lhs, env, J, qcands) and _truth(f.rhs, env, J, qcands)
+        lhs, rhs = _compile(f.lhs, J, qcands), _compile(f.rhs, J, qcands)
+        return lambda env: lhs(env) and rhs(env)
     if isinstance(f, Or):
-        return _truth(f.lhs, env, J, qcands) or _truth(f.rhs, env, J, qcands)
+        lhs, rhs = _compile(f.lhs, J, qcands), _compile(f.rhs, J, qcands)
+        return lambda env: lhs(env) or rhs(env)
     if isinstance(f, Exists):
-        shadowed = env.get(f.var, _UNBOUND)
-        found = False
-        for d in qcands:
-            env[f.var] = d
-            if _truth(f.body, env, J, qcands):
-                found = True
-                break
-        if shadowed is _UNBOUND:
-            env.pop(f.var, None)
-        else:
-            env[f.var] = shadowed
-        return found
+        var, body = f.var, _compile(f.body, J, qcands)
+
+        def exists(env):
+            shadowed = env.get(var, _UNBOUND)
+            found = False
+            for d in qcands:
+                env[var] = d
+                if body(env):
+                    found = True
+                    break
+            if shadowed is _UNBOUND:
+                env.pop(var, None)
+            else:
+                env[var] = shadowed
+            return found
+
+        return exists
     if isinstance(f, Bottom):
-        return False
+        return lambda env: False
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -356,17 +388,45 @@ def _enum_prepare(formulas, J: Algebra, bound, boost: int):
     return fv, free_cands, qcands
 
 
+def _enum_exists(formulas, fv, free_cands, J: Algebra, qcands):
+    """Is there an assignment of free_cands to fv under which every formula holds?
+
+    Backtracking over fv in order: each compiled formula is tested as soon as
+    its last free variable has a value, closed formulas before anything is
+    bound, so a failing formula prunes every extension of the partial
+    assignment at once.
+    """
+    level = {v: i + 1 for i, v in enumerate(fv)}
+    tests = [[] for _ in range(len(fv) + 1)]
+    for f in formulas:
+        tests[max((level[v] for v in free_vars(f)), default=0)].append(_compile(f, J, qcands))
+    env = {}
+    if not all(test(env) for test in tests[0]):
+        return False
+
+    def extend(i):
+        if i == len(fv):
+            return True
+        var, here = fv[i], tests[i + 1]
+        for d in free_cands:
+            env[var] = d
+            for test in here:
+                if not test(env):
+                    break
+            else:
+                if extend(i + 1):
+                    return True
+        return False
+
+    return extend(0)
+
+
 def _enum_entails(premises, conclusion, J: Algebra, bound, boost: int):
     prep = _enum_prepare(list(premises) + [conclusion], J, bound, boost)
     if prep is None:
         return UNKNOWN
     fv, free_cands, qcands = prep
-    for combo in itertools.product(free_cands, repeat=len(fv)):
-        env = dict(zip(fv, combo))
-        if all(_truth(p, env, J, qcands) for p in premises):
-            if not _truth(conclusion, env, J, qcands):
-                return False
-    return True
+    return not _enum_exists(list(premises) + [Not(conclusion)], fv, free_cands, J, qcands)
 
 
 def _enum_sat(formulas, J: Algebra, bound, boost: int):
@@ -374,11 +434,7 @@ def _enum_sat(formulas, J: Algebra, bound, boost: int):
     if prep is None:
         return UNKNOWN
     fv, free_cands, qcands = prep
-    for combo in itertools.product(free_cands, repeat=len(fv)):
-        env = dict(zip(fv, combo))
-        if all(_truth(f, env, J, qcands) for f in formulas):
-            return True
-    return False
+    return _enum_exists(list(formulas), fv, free_cands, J, qcands)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,20 @@
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from folc.algebra import EMPTY_SUBST, make_subst, parse_subst
-from folc.corpus import gen_formula, gen_state, soundness_corpus
+from folc.algebra import EMPTY_SUBST, herbrand_algebra, int_algebra, make_subst, parse_subst
+from folc.corpus import gen_formula, gen_state, persistence_corpus, soundness_corpus
 from folc.infer import get_policy
 from folc.oracle import (
     DepthBound,
     IntervalBound,
+    _compile,
+    _enum_entails,
+    _enum_prepare,
+    _enum_sat,
     check_soundness,
     ground_terms,
     lemma_safe,
@@ -16,8 +23,22 @@ from folc.oracle import (
     subst_formula,
 )
 from folc.state import Pair, Store, pair
-from folc.syntax import And, App, BOTTOM, Eq, Exists, Not, Or, Val, Var, parse_formula
-from conftest import int_formulas
+from folc.syntax import (
+    And,
+    App,
+    Atom,
+    BOTTOM,
+    Eq,
+    Exists,
+    Neq,
+    Not,
+    Or,
+    Val,
+    Var,
+    free_vars,
+    parse_formula,
+)
+from conftest import VARS, herb_formulas, int_formulas
 
 B = IntervalBound(-3, 3)
 
@@ -174,6 +195,168 @@ def _has_negation(phi):
     if isinstance(phi, Exists):
         return _has_negation(phi.body)
     return False
+
+
+# ---------------------------------------------------------------------------
+# Reference: the tree walk over the full product of candidates that the
+# oracle ran before it compiled queries, kept here to check the compiled
+# backtracking search against.
+
+_UNBOUND = object()
+
+
+def _ref_tval(t, env, J):
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Val):
+        return t.value
+    return J.eval_fn(t.symbol, [_ref_tval(a, env, J) for a in t.args])
+
+
+def _ref_truth(f, env, J, qcands):
+    if isinstance(f, Eq):
+        return _ref_tval(f.lhs, env, J) == _ref_tval(f.rhs, env, J)
+    if isinstance(f, Neq):
+        return _ref_tval(f.lhs, env, J) != _ref_tval(f.rhs, env, J)
+    if isinstance(f, Atom):
+        return J.rel_truth(f.rel, [_ref_tval(a, env, J) for a in f.args])
+    if isinstance(f, Not):
+        return not _ref_truth(f.body, env, J, qcands)
+    if isinstance(f, And):
+        return _ref_truth(f.lhs, env, J, qcands) and _ref_truth(f.rhs, env, J, qcands)
+    if isinstance(f, Or):
+        return _ref_truth(f.lhs, env, J, qcands) or _ref_truth(f.rhs, env, J, qcands)
+    if isinstance(f, Exists):
+        shadowed = env.get(f.var, _UNBOUND)
+        found = False
+        for d in qcands:
+            env[f.var] = d
+            if _ref_truth(f.body, env, J, qcands):
+                found = True
+                break
+        if shadowed is _UNBOUND:
+            env.pop(f.var, None)
+        else:
+            env[f.var] = shadowed
+        return found
+    return False  # Bottom
+
+
+def _ref_assignments(formulas, J, bound):
+    prep = _enum_prepare(formulas, J, bound, 0)
+    if prep is None:
+        return None
+    fv, free_cands, qcands = prep
+    return qcands, (dict(zip(fv, c)) for c in itertools.product(free_cands, repeat=len(fv)))
+
+
+def _ref_entails(premises, conclusion, J, bound):
+    prep = _ref_assignments(premises + [conclusion], J, bound)
+    if prep is None:
+        return None
+    q, envs = prep
+    return not any(
+        all(_ref_truth(p, env, J, q) for p in premises) and not _ref_truth(conclusion, env, J, q)
+        for env in envs
+    )
+
+
+def _ref_sat(formulas, J, bound):
+    prep = _ref_assignments(formulas, J, bound)
+    if prep is None:
+        return None
+    q, envs = prep
+    return any(all(_ref_truth(f, env, J, q) for f in formulas) for env in envs)
+
+
+def _oracle_queries(J, policy, seed, n):
+    """The entailment and satisfiability queries that models and satisfiable
+    build for the first n cases of both seeded corpora: models(sigma, phi)
+    and satisfiable(store; phi) under the case's substitution."""
+    for corpus in (soundness_corpus, persistence_corpus):
+        for phi, sigma in corpus(seed, J, policy, n):
+            theta = sigma.subst
+            yield [subst_formula(f, theta, J) for f in sigma.store], subst_formula(phi, theta, J)
+            yield [subst_formula(f, theta, J) for f in [*sigma.store, phi]], None
+
+
+@pytest.mark.parametrize(
+    "J, policy, bound",
+    [
+        (int_algebra(), "literals", IntervalBound(-3, 3)),
+        (herbrand_algebra([("f", 1), ("a", 0), ("b", 0)]), "diseq", DepthBound(3)),
+    ],
+    ids=["int", "herbrand"],
+)
+def test_compiled_search_matches_reference_walk(J, policy, bound):
+    decided = 0
+    for premises, conclusion in _oracle_queries(J, policy, 41, 550):
+        if conclusion is None:
+            got, want = _enum_sat(premises, J, bound, 0), _ref_sat(premises, J, bound)
+        else:
+            got = _enum_entails(premises, conclusion, J, bound, 0)
+            want = _ref_entails(premises, conclusion, J, bound)
+        assert got is want, (premises, conclusion)
+        decided += want is not None
+    assert decided >= 2000
+
+
+_INT_Q = list(range(-2, 3))
+_HERB_Q = [App(c, ()) for c in ("a", "b", "c")]
+
+
+def _envs(values):
+    """Environments over VARS; each name may be left unbound unless free."""
+    return st.tuples(
+        st.fixed_dictionaries({v: values for v in VARS}),
+        st.fixed_dictionaries({v: st.booleans() for v in VARS}),
+    )
+
+
+def _assert_compiled_matches_walk(phi, drawn, J, qcands):
+    values, keep = drawn
+    fv = free_vars(phi)
+    env = {v: d for v, d in values.items() if v in fv or keep[v]}
+    before = dict(env)
+    assert _compile(phi, J, qcands)(env) is _ref_truth(phi, dict(env), J, qcands)
+    assert env == before
+
+
+class TestCompiledTruth:
+    @given(phi=int_formulas(), drawn=_envs(st.integers(min_value=-3, max_value=3)))
+    def test_int_closure_matches_walk(self, phi, drawn, int_alg):
+        _assert_compiled_matches_walk(phi, drawn, int_alg, _INT_Q)
+
+    @given(phi=herb_formulas(), drawn=_envs(st.sampled_from(_HERB_Q)))
+    def test_herbrand_closure_matches_walk(self, phi, drawn, herb):
+        _assert_compiled_matches_walk(phi, drawn, herb, _HERB_Q)
+
+    def test_nested_exists_shadowing_restores_environment(self, int_alg):
+        # exists x. ((exists x. x = 3) & x = y + 1), then x = 0 on the free x:
+        # the inner binder must hand the outer witness 2 back, and the outer
+        # one the free value 0
+        inner = Exists("x", Eq(x, Val(3)))
+        outer = Exists("x", And(inner, Eq(x, App("+", (y, Val(1))))))
+        qcands = list(range(-3, 4))
+        env = {"x": 0, "y": 1}
+        assert _compile(And(outer, Eq(x, Val(0))), int_alg, qcands)(env) is True
+        assert env == {"x": 0, "y": 1}
+        unbound = {"y": 1}
+        assert _compile(outer, int_alg, qcands)(unbound) is True
+        assert unbound == {"y": 1}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="false preservation-validity violation: _int_candidates sizes the quantifier "
+    "reach for coefficient 1, but after x/y + y the witness of exists y. x < y must "
+    "exceed 2y",
+)
+def test_known_false_violation_quantifier_reach(int_alg):
+    phi = F("exists y. x < y & x = y + y", int_alg)
+    sigma = pair([F("~(y + y < y)", int_alg)], EMPTY_SUBST)
+    report = check_soundness([(phi, sigma)], get_policy("literals"), int_alg, B)
+    assert report.passed, report.violations
 
 
 class TestCheckSoundness:
