@@ -16,6 +16,7 @@ from .syntax import (
     Term,
     Val,
     Var,
+    apply_subst,
     parse_substitution_pairs,
     term_to_str,
     term_vars,
@@ -185,16 +186,6 @@ def make_subst(pairs, J: Algebra) -> JSubst:
     return JSubst(tuple(sorted(out.items())))
 
 
-def apply_subst(t: Term, theta: JSubst) -> Term:
-    """Simultaneous replacement of bound variables; no re-evaluation."""
-    if isinstance(t, Var):
-        v = theta.get(t.name)
-        return t if v is None else v
-    if isinstance(t, App):
-        return App(t.symbol, tuple(apply_subst(a, theta) for a in t.args))
-    return t
-
-
 def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
     """The unique gamma with x.gamma = j_eval((x.theta).eta) for every x."""
     out = {}
@@ -218,13 +209,11 @@ def parse_subst(text: str, J: Algebra, allow_fresh: bool = False) -> JSubst:
 # Atom truth
 
 def atom_truth(atom, theta: JSubst, J: Algebra):
-    """Truth of a non-equation atom under theta: True, False, or None (non-ground)."""
-    if isinstance(atom, Neq):
-        rel, args = "/=", (atom.lhs, atom.rhs)
-    elif isinstance(atom, Atom):
+    """Truth of an atom or (dis)equation under theta: True, False, or None (non-ground)."""
+    if isinstance(atom, Atom):
         rel, args = atom.rel, atom.args
     else:
-        raise TypeError(f"atom_truth expects a non-equation atom, got {atom!r}")
+        rel, args = ("=" if isinstance(atom, Eq) else "/="), (atom.lhs, atom.rhs)
     applied = [apply_subst(a, theta) for a in args]
     if not all(term_is_ground(a) for a in applied):
         return None
@@ -238,13 +227,7 @@ def literal_truth(f, theta: JSubst, J: Algebra):
     """
     if isinstance(f, Bottom):
         return False
-    if isinstance(f, Eq):
-        a = apply_subst(f.lhs, theta)
-        b = apply_subst(f.rhs, theta)
-        if not (term_is_ground(a) and term_is_ground(b)):
-            return None
-        return eval_ground(a, J) == eval_ground(b, J)
-    if isinstance(f, (Atom, Neq)):
+    if isinstance(f, (Atom, Eq, Neq)):
         return atom_truth(f, theta, J)
     if isinstance(f, Not):
         inner = literal_truth(f.body, theta, J)

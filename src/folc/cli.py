@@ -5,7 +5,8 @@
 
 Exit codes for eval: 0 when the answer set is non-empty and error-free, 1
 when it contains the error state, 2 when it is empty (inconsistency), 3 on
-usage or parse errors.  check exits 0 iff the report has no violations.
+usage or parse errors.  check exits 0 iff the report has no violations, and
+3 on the same errors or on --n below 1 or --depth below 0.
 Both exit 4 on a resource limit: a formula nested too deeply for the
 recursive walks.
 """
@@ -17,13 +18,21 @@ import json
 import re
 import sys
 
-from .algebra import EMPTY_SUBST, Algebra, herbrand_algebra, int_algebra, parse_subst, rat_algebra
+from .algebra import (
+    EMPTY_SUBST,
+    Algebra,
+    herbrand_algebra,
+    int_algebra,
+    make_subst,
+    parse_subst,
+    rat_algebra,
+)
 from .corpus import soundness_corpus
 from .infer import POLICIES, get_policy
 from .oracle import DepthBound, IntervalBound, check_soundness
 from .semantics import evaluate, make_context
 from .state import ERROR, Pair, Store
-from .syntax import ParseError, formula_to_str, parse_formula, parse_signature_decl
+from .syntax import ParseError, formula_to_str, parse_formula, parse_signature_decl, parse_term
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,9 +105,6 @@ def state_to_json(sigma) -> dict:
 
 def state_from_json(d: dict, J: Algebra):
     """Re-parse a state printed with --json; fresh $ names are allowed here."""
-    from .algebra import make_subst
-    from .syntax import parse_term
-
     if d.get("error"):
         return ERROR
     formulas = [parse_formula(s, J.signature, allow_fresh=True) for s in d["store"]]
@@ -139,6 +145,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.n < 1:
+        raise _UsageError("--n must be at least 1")
+    if args.depth < 0:
+        raise _UsageError("--depth must be at least 0")
     J = _make_algebra(args)
     policy = get_policy(args.policy)
     policy.check_algebra(J)
@@ -181,13 +191,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return _cmd_eval(args)
         return _cmd_check(args)
-    except _UsageError as exc:
-        print(f"folc: {exc}", file=sys.stderr)
-        return 3
-    except ParseError as exc:
-        print(f"folc: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (_UsageError, ParseError, ValueError) as exc:
         print(f"folc: {exc}", file=sys.stderr)
         return 3
     except RecursionError:

@@ -65,18 +65,6 @@ from .syntax import (
 # Unification (Herbrand)
 
 
-def _apply_dict(t: Term, subs: dict) -> Term:
-    if isinstance(t, Var):
-        return subs.get(t.name, t)
-    if isinstance(t, App):
-        return App(t.symbol, tuple(_apply_dict(a, subs) for a in t.args))
-    return t
-
-
-def _occurs(name: str, t: Term) -> bool:
-    return name in term_vars(t)
-
-
 def mgu(s: Term, t: Term):
     """Most general unifier of two Herbrand terms, or None.
 
@@ -86,22 +74,18 @@ def mgu(s: Term, t: Term):
     stack = [(s, t)]
     while stack:
         a, b = stack.pop()
-        a = _apply_dict(a, subs)
-        b = _apply_dict(b, subs)
+        a = apply_subst(a, subs)
+        b = apply_subst(b, subs)
         if a == b:
             continue
+        if isinstance(b, Var) and not isinstance(a, Var):
+            a, b = b, a
         if isinstance(a, Var):
-            if _occurs(a.name, b):
+            if a.name in term_vars(b):
                 return None
             one = {a.name: b}
-            subs = {k: _apply_dict(v, one) for k, v in subs.items()}
+            subs = {k: apply_subst(v, one) for k, v in subs.items()}
             subs[a.name] = b
-        elif isinstance(b, Var):
-            if _occurs(b.name, a):
-                return None
-            one = {b.name: a}
-            subs = {k: _apply_dict(v, one) for k, v in subs.items()}
-            subs[b.name] = a
         elif (
             isinstance(a, App)
             and isinstance(b, App)
@@ -128,11 +112,10 @@ def equation_step(s: Term, t: Term, theta: JSubst, J: Algebra):
     """
     sa = apply_subst(s, theta)
     ta = apply_subst(t, theta)
-    if isinstance(sa, Var) and not _occurs(sa.name, ta):
-        eta = make_subst([(sa.name, j_eval(ta, J))], J)
-        return ("bind", compose(theta, eta, J))
-    if isinstance(ta, Var) and not isinstance(sa, Var) and not _occurs(ta.name, sa):
-        eta = make_subst([(ta.name, j_eval(sa, J))], J)
+    if isinstance(ta, Var) and not isinstance(sa, Var):
+        sa, ta = ta, sa
+    if isinstance(sa, Var) and sa.name not in term_vars(ta):
+        eta = make_subst([(sa.name, ta)], J)
         return ("bind", compose(theta, eta, J))
     if j_eval(sa, J) == j_eval(ta, J):
         return ("drop",)

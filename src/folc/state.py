@@ -20,14 +20,8 @@ class Store:
     __slots__ = ("items", "_key")
 
     def __init__(self, items=()):
-        seen = set()
-        out = []
-        for f in items:
-            if f not in seen:
-                seen.add(f)
-                out.append(f)
-        self.items = tuple(out)
-        self._key = frozenset(out)
+        self.items = tuple(dict.fromkeys(items))
+        self._key = frozenset(self.items)
 
     def add(self, f: Formula) -> "Store":
         if f in self._key:
@@ -143,7 +137,8 @@ def drop_state(u: str, sigma) -> State:
         conjuncts.append(Eq(Var(y), eta.get(y)))
     conjuncts.extend(c_u)
     quantified = Exists(u, reduce(And, conjuncts))
-    rest = [f for f in store if f not in set(c_u)]
+    moved = set(c_u)
+    rest = [f for f in store if f not in moved]
     removed = {u, *ys}
     new_subst = JSubst(tuple(p for p in eta.bindings if p[0] not in removed))
     return Pair(Store(rest + [quantified]), new_subst)

@@ -44,15 +44,13 @@ def max_fresh_index(names) -> int:
 
 @dataclass(frozen=True)
 class Term:
-    pass
+    def __str__(self) -> str:
+        return term_to_str(self)
 
 
 @dataclass(frozen=True)
 class Var(Term):
     name: str
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -71,18 +69,12 @@ class App(Term):
             h = self.__dict__["_hash"] = hash((self.symbol, self.args))
         return h
 
-    def __str__(self) -> str:
-        return term_to_str(self)
-
 
 @dataclass(frozen=True)
 class Val(Term):
     """A leaf holding a domain element of the active algebra."""
 
     value: object
-
-    def __str__(self) -> str:
-        return format_value(self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +83,8 @@ class Val(Term):
 
 @dataclass(frozen=True)
 class Formula:
-    pass
+    def __str__(self) -> str:
+        return formula_to_str(self)
 
 
 @dataclass(frozen=True)
@@ -99,17 +92,11 @@ class Atom(Formula):
     rel: str
     args: tuple[Term, ...]
 
-    def __str__(self) -> str:
-        return formula_to_str(self)
-
 
 @dataclass(frozen=True)
 class Eq(Formula):
     lhs: Term
     rhs: Term
-
-    def __str__(self) -> str:
-        return formula_to_str(self)
 
 
 @dataclass(frozen=True)
@@ -119,16 +106,10 @@ class Neq(Formula):
     lhs: Term
     rhs: Term
 
-    def __str__(self) -> str:
-        return formula_to_str(self)
-
 
 @dataclass(frozen=True)
 class Not(Formula):
     body: Formula
-
-    def __str__(self) -> str:
-        return formula_to_str(self)
 
 
 @dataclass(frozen=True)
@@ -136,17 +117,11 @@ class And(Formula):
     lhs: Formula
     rhs: Formula
 
-    def __str__(self) -> str:
-        return formula_to_str(self)
-
 
 @dataclass(frozen=True)
 class Or(Formula):
     lhs: Formula
     rhs: Formula
-
-    def __str__(self) -> str:
-        return formula_to_str(self)
 
 
 @dataclass(frozen=True)
@@ -154,16 +129,10 @@ class Exists(Formula):
     var: str
     body: Formula
 
-    def __str__(self) -> str:
-        return formula_to_str(self)
-
 
 @dataclass(frozen=True)
 class Bottom(Formula):
     """The always-false formula; never produced by the parser from user text."""
-
-    def __str__(self) -> str:
-        return "false"
 
 
 BOTTOM = Bottom()
@@ -602,11 +571,16 @@ def all_names(f: Formula) -> set[str]:
     return free_vars(f)
 
 
-def _rename_term(t: Term, x: str, u: str) -> Term:
+def apply_subst(t: Term, theta) -> Term:
+    """Simultaneous replacement of bound variables; no re-evaluation.
+
+    theta is any name-to-term mapping with a .get: a JSubst or a dict.
+    """
     if isinstance(t, Var):
-        return Var(u) if t.name == x else t
+        v = theta.get(t.name)
+        return t if v is None else v
     if isinstance(t, App):
-        return App(t.symbol, tuple(_rename_term(a, x, u) for a in t.args))
+        return App(t.symbol, tuple(apply_subst(a, theta) for a in t.args))
     return t
 
 
@@ -614,24 +588,24 @@ def rename_free(f: Formula, x: str, u: str) -> Formula:
     """Replace free occurrences of x by u; u must not occur anywhere in f."""
     if u in all_names(f):
         raise ValueError(f"{u!r} already occurs in the formula")
-    return _rename_unchecked(f, x, u)
+    return _rename_unchecked(f, {x: Var(u)})
 
 
-def _rename_unchecked(f: Formula, x: str, u: str) -> Formula:
+def _rename_unchecked(f: Formula, theta: dict) -> Formula:
     if isinstance(f, Eq):
-        return Eq(_rename_term(f.lhs, x, u), _rename_term(f.rhs, x, u))
+        return Eq(apply_subst(f.lhs, theta), apply_subst(f.rhs, theta))
     if isinstance(f, Neq):
-        return Neq(_rename_term(f.lhs, x, u), _rename_term(f.rhs, x, u))
+        return Neq(apply_subst(f.lhs, theta), apply_subst(f.rhs, theta))
     if isinstance(f, Atom):
-        return Atom(f.rel, tuple(_rename_term(a, x, u) for a in f.args))
+        return Atom(f.rel, tuple(apply_subst(a, theta) for a in f.args))
     if isinstance(f, Not):
-        return Not(_rename_unchecked(f.body, x, u))
+        return Not(_rename_unchecked(f.body, theta))
     if isinstance(f, And):
-        return And(_rename_unchecked(f.lhs, x, u), _rename_unchecked(f.rhs, x, u))
+        return And(_rename_unchecked(f.lhs, theta), _rename_unchecked(f.rhs, theta))
     if isinstance(f, Or):
-        return Or(_rename_unchecked(f.lhs, x, u), _rename_unchecked(f.rhs, x, u))
+        return Or(_rename_unchecked(f.lhs, theta), _rename_unchecked(f.rhs, theta))
     if isinstance(f, Exists):
-        if f.var == x:
+        if f.var in theta:
             return f
-        return Exists(f.var, _rename_unchecked(f.body, x, u))
+        return Exists(f.var, _rename_unchecked(f.body, theta))
     return f

@@ -12,9 +12,11 @@ from folc.algebra import (
     atom_truth,
     compose,
     j_eval,
+    literal_truth,
     make_subst,
     parse_subst,
 )
+from folc import syntax
 from folc.syntax import App, Atom, Eq, Neq, Val, Var, parse_term
 from conftest import int_terms
 
@@ -64,6 +66,14 @@ class TestApplySubst:
     def test_herbrand(self, herb):
         theta = make_subst([("x", App("a", ())), ("y", App("b", ()))], herb)
         assert apply_subst(T("g(x, b)", herb), theta) == T("g(a, b)", herb)
+
+    def test_one_walk_shared_with_syntax(self):
+        assert apply_subst is syntax.apply_subst
+
+    @given(int_terms(), st.lists(st.tuples(st.sampled_from("xyz"), int_terms()), max_size=3))
+    def test_dict_and_jsubst_agree(self, t, pairs):
+        theta = JSubst(tuple(sorted(dict(pairs).items())))
+        assert apply_subst(t, theta) == apply_subst(t, dict(theta.bindings))
 
 
 class TestCompose:
@@ -139,21 +149,31 @@ class TestSubstNormalForm:
         assert parse_subst("{x/3/2}", rat_alg) == theta
 
 
+def truth(f, theta, J):
+    """atom_truth of f, checked against literal_truth, which decides atoms through it."""
+    value = atom_truth(f, theta, J)
+    assert literal_truth(f, theta, J) is value
+    return value
+
+
 class TestAtomTruth:
     def test_true(self, int_alg):
         theta = parse_subst("{y/1, z/2}", int_alg)
-        assert atom_truth(Atom("<", (y, z)), theta, int_alg) is True
+        assert truth(Atom("<", (y, z)), theta, int_alg) is True
+        assert truth(Eq(z, App("+", (y, y))), theta, int_alg) is True
 
     def test_non_ground(self, int_alg):
         theta = parse_subst("{y/1}", int_alg)
-        assert atom_truth(Atom("<", (y, z)), theta, int_alg) is None
+        assert truth(Atom("<", (y, z)), theta, int_alg) is None
+        assert truth(Eq(y, z), theta, int_alg) is None
+        assert truth(Eq(z, y), theta, int_alg) is None
 
     def test_false(self, int_alg):
-        assert atom_truth(Atom("<", (Val(1), Val(1))), EMPTY_SUBST, int_alg) is False
+        assert truth(Atom("<", (Val(1), Val(1))), EMPTY_SUBST, int_alg) is False
+        assert truth(Eq(Val(1), Val(2)), EMPTY_SUBST, int_alg) is False
 
     def test_diseq_is_an_atom(self, herb):
-        assert atom_truth(Neq(App("a", ()), App("b", ())), EMPTY_SUBST, herb) is True
-
-    def test_equations_rejected(self, int_alg):
-        with pytest.raises(TypeError):
-            atom_truth(Eq(x, y), EMPTY_SUBST, int_alg)
+        a, b = App("a", ()), App("b", ())
+        assert truth(Neq(a, b), EMPTY_SUBST, herb) is True
+        assert truth(Eq(a, b), EMPTY_SUBST, herb) is False
+        assert truth(Eq(App("f", (x,)), App("f", (a,))), parse_subst("{x/a}", herb), herb) is True

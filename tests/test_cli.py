@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folc.algebra import herbrand_algebra, int_algebra
 from folc.cli import main, state_from_json, state_to_json
+from folc.infer import POLICIES
 from folc.state import ERROR
 
 
@@ -67,8 +72,6 @@ class TestEvalCommand:
         assert captured.err.splitlines() == ["folc: formula nests too deeply for the recursive walks"]
 
     def test_policy_choices_come_from_the_registry(self, capsys):
-        from folc.infer import POLICIES
-
         assert main(["eval", "--policy", "nope", "x = 1"]) == 3
         assert ", ".join(f"'{name}'" for name in sorted(POLICIES)) in capsys.readouterr().err
 
@@ -202,3 +205,87 @@ class TestCheckCommand:
 
     def test_check_requires_input(self, capsys):
         assert main(["check", "--policy", "baseline", "--algebra", "int"]) == 3
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "0"], "folc: --n must be at least 1"),
+            (["--n", "-5"], "folc: --n must be at least 1"),
+            (["--depth", "-1"], "folc: --depth must be at least 0"),
+        ],
+        ids=["n-zero", "n-negative", "depth-negative"],
+    )
+    def test_empty_bounds_are_usage_errors(self, capsys, flags, message):
+        # a 0-case report would pass vacuously
+        capsys.readouterr()
+        argv = ["check", "--corpus", "random", "--policy", "unify", "--algebra", "herbrand"]
+        assert main(argv + ["--sig", "f/1,a/0", *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the front end: every input ends in a documented exit code
+
+
+_HERBRAND_TERMS = ["x", "y", "z", "a", "b", "f(x)", "f(a)"]
+_ARITH_TERMS = ["x", "y", "z", "0", "1", "-2", "1/2", "x + 1", "y * z", "(x - y)"]
+_TOKENS = st.sampled_from(
+    ["x", "y", "a", "f", "1", "(", ")", ",", "=", "/=", "<", "<=", "~", "&", "|", "exists",
+     ".", "false", "-", "+", "*", "/", "{", "}", ";", "$u1", "g"]
+)
+_SOUP = st.lists(_TOKENS, max_size=8).map(" ".join)
+
+
+def _texts(algebra):
+    """Formula, store and substitution text: mostly well formed, sometimes token soup."""
+    herbrand = algebra == "herbrand"
+    terms = st.sampled_from(_HERBRAND_TERMS if herbrand else _ARITH_TERMS)
+    rels = st.sampled_from(["=", "/="] if herbrand else ["=", "/=", "<", "<="])
+    atoms = st.one_of(st.builds("{} {} {}".format, terms, rels, terms), st.just("false"))
+    formulas = st.recursive(
+        atoms,
+        lambda sub: st.one_of(
+            sub.map("~({})".format),
+            st.builds("{} & {}".format, sub, sub),
+            st.builds("({} | {})".format, sub, sub),
+            st.builds("exists {}. {}".format, st.sampled_from("xyz"), sub),
+        ),
+        max_leaves=4,
+    )
+    bindings = st.lists(st.builds("{}/{}".format, st.sampled_from("xyz"), terms), max_size=2)
+    theta = bindings.map(lambda pairs: "{" + ", ".join(pairs) + "}")
+    return formulas | formulas | _SOUP, theta | theta | _SOUP
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["eval", "check"]))
+    algebra = draw(st.sampled_from(["herbrand", "int", "rat"]))
+    text, theta = _texts(algebra)
+    argv = [command, "--algebra", algebra, "--policy", draw(st.sampled_from(sorted(POLICIES)))]
+    if algebra == "herbrand":
+        argv += ["--sig", "f/1,a/0,b/0"]
+    if draw(st.booleans()):
+        argv += ["--store", "; ".join(draw(st.lists(text, max_size=2)))]
+    if draw(st.booleans()):
+        argv += ["--theta", draw(theta)]
+    if command == "eval":
+        argv += draw(st.sampled_from([[], ["--json"], ["--trace"]]))
+        return argv + [draw(text)]
+    argv += ["--bound", "-1..1", "--depth", draw(st.sampled_from(["1", "1", "0", "-1"]))]
+    if draw(st.booleans()):
+        return argv + ["--corpus", "random", "--n", draw(st.sampled_from(["1", "2", "2", "0"]))]
+    return argv + [draw(text)]
+
+
+@settings(max_examples=150)
+@given(argv=_argv())
+def test_fuzzed_command_lines_end_in_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    if code in (3, 4):
+        assert err.getvalue().splitlines()[-1].startswith("folc: ")

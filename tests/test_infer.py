@@ -51,6 +51,14 @@ class TestMgu:
     def test_trivial(self, herb):
         assert mgu(x, x) == EMPTY_SUBST
 
+    def test_variable_side_is_bound_whichever_side_it_is(self, herb):
+        assert mgu(T("f(a)", herb), y) == parse_subst("{y/f(a)}", herb)
+        assert mgu(y, T("f(a)", herb)) == parse_subst("{y/f(a)}", herb)
+
+    def test_left_variable_bound_to_right(self, herb):
+        assert mgu(x, y) == parse_subst("{x/y}", herb)
+        assert mgu(T("f(x)", herb), T("f(y)", herb)) == parse_subst("{x/y}", herb)
+
     def test_clash(self, herb):
         assert mgu(T("a", herb), T("b", herb)) is None
         assert mgu(T("f(x)", herb), T("g(x, x)", herb)) is None
@@ -220,6 +228,15 @@ class TestLiteralsPolicy:
     def test_non_ground_negative_literal_passive(self, int_alg):
         sigma = pair([Not(F("x = 1", int_alg))], EMPTY_SUBST)
         assert LITERALS.apply(sigma, int_alg) == (sigma,)
+
+    def test_equation_binds_the_variable_side(self, int_alg):
+        bound = ("bind", parse_subst("{x/1}", int_alg))
+        assert LITERALS.resolve(F("1 = x", int_alg), EMPTY_SUBST, int_alg) == bound
+        assert LITERALS.resolve(F("x = 1", int_alg), EMPTY_SUBST, int_alg) == bound
+        assert LITERALS.resolve(F("x = y", int_alg), EMPTY_SUBST, int_alg) == (
+            "bind",
+            parse_subst("{x/y}", int_alg),
+        )
 
     def test_neq_spelling_treated_identically(self, int_alg):
         a = LITERALS.apply(pair([F("x /= 1", int_alg)], EMPTY_SUBST), int_alg)

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -22,7 +23,7 @@ from folc.syntax import (
     rename_free,
     term_to_str,
 )
-from conftest import herb_formulas, herb_terms, int_formulas, rat_formulas
+from conftest import herb_formulas, herb_terms, int_formulas, rat_formulas, rat_terms
 
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -158,6 +159,18 @@ class TestRoundTrip:
     @given(f=herb_formulas())
     def test_herbrand(self, f, herb):
         assert parse_formula(formula_to_str(f), herb.signature) == f
+
+    @given(f=rat_formulas(), t=rat_terms())
+    def test_str_is_the_printer(self, f, t):
+        assert str(f) == formula_to_str(f)
+        assert str(t) == term_to_str(t)
+
+    def test_str_of_leaves(self):
+        assert str(x) == "x"
+        assert str(Val(Fraction(3))) == "3"
+        assert str(Val(Fraction(3, 2))) == "3/2"
+        assert str(App("f", (x, App("a")))) == "f(x, a)"
+        assert str(BOTTOM) == "false"
 
     def test_printing_shapes(self):
         assert formula_to_str(Not(Eq(x, Val(1)))) == "~(x = 1)"
