@@ -17,7 +17,6 @@ repeats step until no constraint is active.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -143,57 +142,32 @@ def as_literal(f: Formula):
 # Linear-equation rewriting (exact rationals)
 
 
-@dataclass(frozen=True)
-class Trivial:
-    pass
-
-
-@dataclass(frozen=True)
-class Contradiction:
-    pass
-
-
-@dataclass(frozen=True)
-class Pivot:
-    var: str
-    expr: Term
-
-
-@dataclass(frozen=True)
-class NonLinear:
-    pass
-
-
 def _linear_form(t: Term):
-    """(constant, {var: coefficient}) over Fractions, or None if non-linear."""
+    """(constant, {var: coefficient}) over Fractions, or None if non-linear.
+
+    Zero coefficients are dropped at every node, so 0 * x * y is linear.
+    """
     if isinstance(t, Val):
         return Fraction(t.value), {}
     if isinstance(t, Var):
         return Fraction(0), {t.name: Fraction(1)}
-    if isinstance(t, App) and t.symbol in ("+", "-"):
-        left = _linear_form(t.args[0])
-        right = _linear_form(t.args[1])
-        if left is None or right is None:
-            return None
-        sign = 1 if t.symbol == "+" else -1
-        const = left[0] + sign * right[0]
-        coeffs = dict(left[1])
-        for v, c in right[1].items():
-            coeffs[v] = coeffs.get(v, Fraction(0)) + sign * c
-        return const, {v: c for v, c in coeffs.items() if c != 0}
-    if isinstance(t, App) and t.symbol == "*":
-        left = _linear_form(t.args[0])
-        right = _linear_form(t.args[1])
-        if left is None or right is None:
-            return None
-        if not left[1]:
-            k = left[0]
-            return k * right[0], {v: k * c for v, c in right[1].items() if k * c != 0}
-        if not right[1]:
-            k = right[0]
-            return k * left[0], {v: k * c for v, c in left[1].items() if k * c != 0}
+    if not (isinstance(t, App) and t.symbol in ("+", "-", "*")):
         return None
-    return None
+    left = _linear_form(t.args[0])
+    right = _linear_form(t.args[1])
+    if left is None or right is None:
+        return None
+    if t.symbol == "*":
+        if left[1] and right[1]:
+            return None
+        # one side is a constant k that scales the other
+        (k, _), (const, coeffs) = (left, right) if not left[1] else (right, left)
+        return k * const, {v: k * c for v, c in coeffs.items() if k * c != 0}
+    sign = 1 if t.symbol == "+" else -1
+    coeffs = dict(left[1])
+    for v, c in right[1].items():
+        coeffs[v] = coeffs.get(v, 0) + sign * c
+    return left[0] + sign * right[0], {v: c for v, c in coeffs.items() if c != 0}
 
 
 def _affine_term(const: Fraction, coeffs: dict) -> Term:
@@ -213,28 +187,22 @@ def _affine_term(const: Fraction, coeffs: dict) -> Term:
 
 
 def rewrite_linear(e: Eq, theta: JSubst, J: Algebra):
-    """Normalize (lhs = rhs) under theta to one of the three linear shapes.
+    """Resolve (lhs = rhs) under theta by reading lhs - rhs as a linear form.
 
-    Trivial for 0 = 0, Contradiction for r = 0 with r nonzero, otherwise a
-    Pivot x = u on the lexicographically first variable with a nonzero
-    coefficient; NonLinear when products of variables survive.
+    ('drop',) for 0 = 0, ('fail',) for r = 0 with r nonzero, otherwise
+    ('pivot', x, u) for x = u on the lexicographically first variable with a
+    nonzero coefficient; ('passive',) when products of variables survive.
     """
-    left = _linear_form(apply_subst(e.lhs, theta))
-    right = _linear_form(apply_subst(e.rhs, theta))
-    if left is None or right is None:
-        return NonLinear()
-    const = left[0] - right[0]
-    coeffs = dict(left[1])
-    for v, c in right[1].items():
-        coeffs[v] = coeffs.get(v, Fraction(0)) - c
-    coeffs = {v: c for v, c in coeffs.items() if c != 0}
+    form = _linear_form(App("-", (apply_subst(e.lhs, theta), apply_subst(e.rhs, theta))))
+    if form is None:
+        return ("passive",)
+    const, coeffs = form
     if not coeffs:
-        return Trivial() if const == 0 else Contradiction()
+        return ("drop",) if const == 0 else ("fail",)
     x = min(coeffs)
     cx = coeffs[x]
-    rest_const = -const / cx
     rest_coeffs = {v: -c / cx for v, c in coeffs.items() if v != x}
-    return Pivot(x, _affine_term(rest_const, rest_coeffs))
+    return ("pivot", x, _affine_term(-const / cx, rest_coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +340,11 @@ class LinearPolicy(StorePolicy):
     """Linear equations active (Gaussian elimination), non-linear ones passive."""
 
     def resolve(self, f, theta, J):
-        shape = rewrite_linear(f, theta, J)
-        if isinstance(shape, Trivial):
-            return ("drop",)
-        if isinstance(shape, Contradiction):
-            return ("fail",)
-        if isinstance(shape, Pivot):
-            eta = make_subst([(shape.var, shape.expr)], J)
-            return ("bind", compose(theta, eta, J))
-        return ("passive",)
+        outcome = rewrite_linear(f, theta, J)
+        if outcome[0] != "pivot":
+            return outcome
+        _, x, u = outcome
+        return ("bind", compose(theta, make_subst([(x, u)], J), J))
 
 
 def _is_equation(f: Formula) -> bool:

@@ -14,7 +14,14 @@ partial assignment.
 
 Over the exact rationals bounded enumeration cannot work (the order is
 dense), so linear queries are decided exactly by Fourier-Motzkin
-elimination instead; non-linear ones are Unknown.
+elimination instead; non-linear ones are Unknown.  A conjunction of rows is
+feasible iff its equations and inequalities are, and each disequation is
+feasible with them on its own.  That rule is exact over Q: the equations
+and inequalities define a convex polyhedron, and one that lies in none of
+finitely many hyperplanes does not lie in their union either (Lassez and
+McAloon, "A canonical form for generalized linear constraints", J. Symbolic
+Computation 13, 1992).  So k disequations cost at most 2k + 1 eliminations
+rather than 2^k.
 """
 
 from __future__ import annotations
@@ -22,10 +29,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import itemgetter
 
-from .algebra import Algebra, JSubst, apply_subst, eval_ground, j_eval
+from .algebra import Algebra, JSubst, apply_subst, j_eval
 from .semantics import make_context, evaluate
 from .state import ERROR, Pair, cons, cons_plus, drop_subst
 from .syntax import (
@@ -137,32 +143,29 @@ def _collect_atoms(f: Formula, out: list) -> bool:
     return True  # Bottom carries no terms
 
 
-def _quant_depth(f: Formula) -> int:
+def _quantifiers(f: Formula):
+    """(nesting depth, number) of the quantifiers in f."""
     if isinstance(f, Exists):
-        return 1 + _quant_depth(f.body)
+        depth, count = _quantifiers(f.body)
+        return depth + 1, count + 1
     if isinstance(f, Not):
-        return _quant_depth(f.body)
+        return _quantifiers(f.body)
     if isinstance(f, (And, Or)):
-        return max(_quant_depth(f.lhs), _quant_depth(f.rhs))
-    return 0
-
-
-def _quant_count(f: Formula) -> int:
-    if isinstance(f, Exists):
-        return 1 + _quant_count(f.body)
-    if isinstance(f, Not):
-        return _quant_count(f.body)
-    if isinstance(f, (And, Or)):
-        return _quant_count(f.lhs) + _quant_count(f.rhs)
-    return 0
+        (ld, lc), (rd, rc) = _quantifiers(f.lhs), _quantifiers(f.rhs)
+        return max(ld, rd), lc + rc
+    return 0, 0
 
 
 def _lin(t: Term):
-    """Independent linear extraction: (const, {var: coeff}) or None."""
+    """Independent linear extraction: (const, {var: coeff}) or None.
+
+    Computes on the algebra's own exact numbers (ints, or Fractions over the
+    rationals); a coefficient can be 0, as in 0 * x.
+    """
     if isinstance(t, Val):
-        return Fraction(t.value), {}
+        return t.value, {}
     if isinstance(t, Var):
-        return Fraction(0), {t.name: Fraction(1)}
+        return 0, {t.name: 1}
     if isinstance(t, App) and t.symbol in ("+", "-", "*"):
         a = _lin(t.args[0])
         b = _lin(t.args[1])
@@ -177,8 +180,19 @@ def _lin(t: Term):
         sign = 1 if t.symbol == "+" else -1
         coeffs = dict(a[1])
         for v, c in b[1].items():
-            coeffs[v] = coeffs.get(v, Fraction(0)) + sign * c
+            coeffs[v] = coeffs.get(v, 0) + sign * c
         return a[0] + sign * b[0], coeffs
+
+
+def _lin_diff(lhs: Term, rhs: Term):
+    """lhs - rhs as (const, {var: nonzero coeff}), or None when non-linear."""
+    la, ra = _lin(lhs), _lin(rhs)
+    if la is None or ra is None:
+        return None
+    coeffs = dict(la[1])
+    for v, c in ra[1].items():
+        coeffs[v] = coeffs.get(v, 0) - c
+    return la[0] - ra[0], {v: c for v, c in coeffs.items() if c != 0}
 
 
 def _term_depth(t: Term) -> int:
@@ -187,14 +201,14 @@ def _term_depth(t: Term) -> int:
     return 0
 
 
-def _int_candidates(formulas, bound: IntervalBound, boost: int):
+def _int_candidates(formulas, bound: IntervalBound, boost: int, qd: int):
     """(free candidates, quantifier candidates) or None when the guard refuses.
 
     Guard: every atom linear with small coefficient mass and a slack margin
     covering the query's constants, so truth cannot flip outside the
     enumerated interval for the shapes the corpus generates.  Quantified
     variables range over a wider interval: their witnesses are images of
-    free values under the atoms, one slack step per nesting level.
+    free values under the atoms, one slack step per nesting level (qd levels).
     """
     atoms: list = []
     if not all(_collect_atoms(f, atoms) for f in formulas):
@@ -202,20 +216,13 @@ def _int_candidates(formulas, bound: IntervalBound, boost: int):
     span = max(abs(bound.lo), abs(bound.hi))
     max_const = 0
     for lhs, rhs in atoms:
-        la, ra = _lin(lhs), _lin(rhs)
-        if la is None or ra is None:
+        diff = _lin_diff(lhs, rhs)
+        if diff is None:
             return None
-        coeffs = dict(la[1])
-        for v, c in ra[1].items():
-            coeffs[v] = coeffs.get(v, Fraction(0)) - c
-        mass = sum(abs(c) for c in coeffs.values())
-        if mass > 4:
+        const, coeffs = diff
+        if sum(abs(c) for c in coeffs.values()) > 4:
             return None
-        const = abs(la[0] - ra[0])
-        if const != int(const):
-            return None
-        max_const = max(max_const, int(const))
-    qd = max((_quant_depth(f) for f in formulas), default=0)
+        max_const = max(max_const, abs(const))
     if qd > 2:
         return None
     slack = max_const + span + 1 + boost
@@ -267,13 +274,14 @@ def ground_terms(signature, depth: int, limit: int = _GROUND_LIMIT):
     return layers
 
 
-def _herbrand_candidates(formulas, J: Algebra, bound: DepthBound, boost: int):
+def _herbrand_candidates(formulas, J: Algebra, bound: DepthBound, boost: int, qd: int, nfree: int):
     """(free candidates, quantifier candidates) or None.
 
     Minimal solutions of equation/disequation combinations are built from
     the query's term shapes, so free variables need depth covering one atom
-    image per variable plus enough distinct terms to dodge disequations;
-    existential witnesses add one atom image per quantifier level on top.
+    image per variable (nfree of them) plus enough distinct terms to dodge
+    disequations; existential witnesses add one atom image per quantifier
+    level (qd of them) on top.
     """
     atoms: list = []
     if not all(_collect_atoms(f, atoms) for f in formulas):
@@ -283,8 +291,6 @@ def _herbrand_candidates(formulas, J: Algebra, bound: DepthBound, boost: int):
         cands = ground_terms(J.signature, 0)
         return (cands, cands) if cands else None  # finite universe: exact
     md = max((max(_term_depth(l), _term_depth(r)) for l, r in atoms), default=0)
-    qd = max((_quant_depth(f) for f in formulas), default=0)
-    nfree = len(set().union(*(free_vars(f) for f in formulas)) if formulas else set())
     depth = max(bound.depth + boost, md * max(nfree, 1))
     while True:
         free = ground_terms(J.signature, depth, limit=220)
@@ -307,34 +313,41 @@ def _herbrand_candidates(formulas, J: Algebra, bound: DepthBound, boost: int):
 
 
 def _compile_term(t: Term, J: Algebra):
-    """A closure env -> the J-value of t; ground subterms are evaluated once."""
+    """(closure env -> the J-value of t, whether t is ground).
+
+    Groundness is decided bottom-up: a ground subterm is evaluated once,
+    here, and its closure returns the value.
+    """
     if isinstance(t, Var):
-        return itemgetter(t.name)
-    if not term_vars(t):
-        value = eval_ground(t, J)
-        return lambda env: value
+        return itemgetter(t.name), False
+    if isinstance(t, Val):
+        value = t.value
+        return (lambda env: value), True
     fn, symbol = J.eval_fn, t.symbol
-    if len(t.args) == 2:
-        a, b = _compile_term(t.args[0], J), t.args[1]
-        if not term_vars(b):  # x + 1: the constant is captured, not called
-            value = eval_ground(b, J)
-            return lambda env: fn(symbol, (a(env), value))
-        b = _compile_term(b, J)
-        return lambda env: fn(symbol, (a(env), b(env)))
     args = [_compile_term(a, J) for a in t.args]
-    return lambda env: fn(symbol, [a(env) for a in args])
+    if all(ground for _, ground in args):
+        value = fn(symbol, [a(None) for a, _ in args])
+        return (lambda env: value), True
+    if len(args) == 2:
+        (a, _), (b, b_ground) = args
+        if b_ground:  # x + 1: the constant is captured, not called
+            value = b(None)
+            return (lambda env: fn(symbol, (a(env), value))), False
+        return (lambda env: fn(symbol, (a(env), b(env)))), False
+    args = [a for a, _ in args]
+    return (lambda env: fn(symbol, [a(env) for a in args])), False
 
 
 def _compile(f: Formula, J: Algebra, qcands: list):
     """The truth of f as a closure env -> bool; quantifiers range over qcands."""
     if isinstance(f, (Eq, Neq)):
-        lhs, rhs = _compile_term(f.lhs, J), _compile_term(f.rhs, J)
+        (lhs, _), (rhs, _) = _compile_term(f.lhs, J), _compile_term(f.rhs, J)
         if isinstance(f, Eq):
             return lambda env: lhs(env) == rhs(env)
         return lambda env: lhs(env) != rhs(env)
     if isinstance(f, Atom):
         truth, rel = J.rel_truth, f.rel
-        a, b = (_compile_term(t, J) for t in f.args)  # the guard admits binary atoms only
+        (a, _), (b, _) = (_compile_term(t, J) for t in f.args)  # the guard admits binary atoms only
         return lambda env: truth(rel, (a(env), b(env)))
     if isinstance(f, Not):
         body = _compile(f.body, J, qcands)
@@ -369,37 +382,40 @@ def _compile(f: Formula, J: Algebra, qcands: list):
 
 
 def _enum_prepare(formulas, J: Algebra, bound, boost: int):
+    """(free variables of each formula, their sorted union, free candidates,
+    quantifier candidates), or None when the guard or the cost cap refuses."""
+    fvs = [free_vars(f) for f in formulas]
+    fv = sorted(set().union(*fvs))
+    quants = [_quantifiers(f) for f in formulas]
+    qd = max((depth for depth, _ in quants), default=0)
     if isinstance(bound, IntervalBound):
-        sets = _int_candidates(formulas, bound, boost)
+        sets = _int_candidates(formulas, bound, boost, qd)
     else:
-        sets = _herbrand_candidates(formulas, J, bound, boost)
+        sets = _herbrand_candidates(formulas, J, bound, boost, qd, len(fv))
     if sets is None:
         return None
     free_cands, qcands = sets
-    fv = sorted(set().union(*(free_vars(f) for f in formulas)) if formulas else set())
     nodes = sum(1 + len(str(f)) // 8 for f in formulas)
     cost = (len(free_cands) ** len(fv)) * max(1, nodes)
-    for f in formulas:
-        cost *= len(qcands) ** _quant_count(f)
+    for _, count in quants:
+        cost *= len(qcands) ** count
         if cost > _COST_CAP:
             return None
-    if cost > _COST_CAP:
-        return None
-    return fv, free_cands, qcands
+    return fvs, fv, free_cands, qcands
 
 
-def _enum_exists(formulas, fv, free_cands, J: Algebra, qcands):
+def _enum_exists(formulas, fvs, fv, free_cands, J: Algebra, qcands):
     """Is there an assignment of free_cands to fv under which every formula holds?
 
-    Backtracking over fv in order: each compiled formula is tested as soon as
-    its last free variable has a value, closed formulas before anything is
-    bound, so a failing formula prunes every extension of the partial
-    assignment at once.
+    fvs holds the free variables of each formula.  Backtracking over fv in
+    order: each compiled formula is tested as soon as its last free variable
+    has a value, closed formulas before anything is bound, so a failing
+    formula prunes every extension of the partial assignment at once.
     """
     level = {v: i + 1 for i, v in enumerate(fv)}
     tests = [[] for _ in range(len(fv) + 1)]
-    for f in formulas:
-        tests[max((level[v] for v in free_vars(f)), default=0)].append(_compile(f, J, qcands))
+    for f, names in zip(formulas, fvs):
+        tests[max((level[v] for v in names), default=0)].append(_compile(f, J, qcands))
     env = {}
     if not all(test(env) for test in tests[0]):
         return False
@@ -425,16 +441,16 @@ def _enum_entails(premises, conclusion, J: Algebra, bound, boost: int):
     prep = _enum_prepare(list(premises) + [conclusion], J, bound, boost)
     if prep is None:
         return UNKNOWN
-    fv, free_cands, qcands = prep
-    return not _enum_exists(list(premises) + [Not(conclusion)], fv, free_cands, J, qcands)
+    fvs, fv, free_cands, qcands = prep  # ~conclusion has the free variables of conclusion
+    return not _enum_exists(list(premises) + [Not(conclusion)], fvs, fv, free_cands, J, qcands)
 
 
 def _enum_sat(formulas, J: Algebra, bound, boost: int):
     prep = _enum_prepare(list(formulas), J, bound, boost)
     if prep is None:
         return UNKNOWN
-    fv, free_cands, qcands = prep
-    return _enum_exists(list(formulas), fv, free_cands, J, qcands)
+    fvs, fv, free_cands, qcands = prep
+    return _enum_exists(list(formulas), fvs, fv, free_cands, J, qcands)
 
 
 # ---------------------------------------------------------------------------
@@ -444,40 +460,28 @@ _DNF_CAP = 256
 
 
 def _rat_literal_rows(f: Formula, positive: bool):
-    """Rows (coeffs, const, rel) meaning coeffs.x + const REL 0, or None."""
-    if isinstance(f, (Eq, Neq, Atom)):
-        if isinstance(f, Eq):
-            rel = "=" if positive else "!="
-            lhs, rhs = f.lhs, f.rhs
-        elif isinstance(f, Neq):
-            rel = "!=" if positive else "="
-            lhs, rhs = f.lhs, f.rhs
-        else:
-            if f.rel == "<":
-                rel = "<" if positive else ">="
-            elif f.rel == "<=":
-                rel = "<=" if positive else ">"
-            else:
-                return None
-            lhs, rhs = f.args
-        la, ra = _lin(lhs), _lin(rhs)
-        if la is None or ra is None:
-            return None
-        coeffs = dict(la[1])
-        for v, c in ra[1].items():
-            coeffs[v] = coeffs.get(v, Fraction(0)) - c
-        coeffs = {v: c for v, c in coeffs.items() if c != 0}
-        const = la[0] - ra[0]
-        if rel == ">=":
-            coeffs = {v: -c for v, c in coeffs.items()}
-            const, rel = -const, "<="
-        elif rel == ">":
-            coeffs = {v: -c for v, c in coeffs.items()}
-            const, rel = -const, "<"
-        return [(coeffs, const, rel)]
-    if isinstance(f, Bottom):
-        return [({}, Fraction(1 if positive else 0), "=" if positive else "<=")]
-    return None
+    """Rows (coeffs, const, rel) meaning coeffs.x + const REL 0, or None.
+
+    A negated l < r is read as r <= l, and a negated l <= r as r < l.
+    """
+    if isinstance(f, (Eq, Neq)):
+        rel = "=" if isinstance(f, Eq) == positive else "!="
+        lhs, rhs = f.lhs, f.rhs
+    elif isinstance(f, Atom) and f.rel in ("<", "<="):
+        lhs, rhs = f.args
+        rel = f.rel
+        if not positive:
+            lhs, rhs = rhs, lhs
+            rel = "<=" if rel == "<" else "<"
+    elif isinstance(f, Bottom):
+        return [({}, 1 if positive else 0, "=" if positive else "<=")]
+    else:
+        return None
+    diff = _lin_diff(lhs, rhs)
+    if diff is None:
+        return None
+    const, coeffs = diff
+    return [(coeffs, const, rel)]
 
 
 def _rat_dnf(f: Formula, positive: bool):
@@ -518,7 +522,7 @@ def _fm_eliminate(rows, var):
             for v in set(ucoeffs) | set(lcoeffs):
                 if v == var:
                     continue
-                k = scale_u * ucoeffs.get(v, Fraction(0)) + scale_l * lcoeffs.get(v, Fraction(0))
+                k = scale_u * ucoeffs.get(v, 0) + scale_l * lcoeffs.get(v, 0)
                 if k != 0:
                     coeffs[v] = k
             const = scale_u * uconst + scale_l * lconst
@@ -527,8 +531,13 @@ def _fm_eliminate(rows, var):
     return rest
 
 
-def _expand_equalities(rows):
-    """Replace every = row by the pair of opposing <= rows; drop != rows."""
+def _fm_feasible(rows) -> bool:
+    """Feasibility over Q of a conjunction of {<, <=, =, !=} rows.
+
+    The disequations are checked one at a time, each e != 0 as e < 0 or
+    -e < 0 next to the other rows; the module docstring says why that is
+    exact.
+    """
     base = []
     for coeffs, const, rel in rows:
         if rel == "=":
@@ -536,37 +545,17 @@ def _expand_equalities(rows):
             base.append(({v: -c for v, c in coeffs.items()}, -const, "<="))
         elif rel != "!=":
             base.append((coeffs, const, rel))
-    return base
-
-
-def _fm_feasible(rows) -> bool:
-    """Feasibility over Q of a conjunction of {<, <=, =, !=} rows.
-
-    Disequations branch into strict inequalities; past the branching cap
-    they are checked one at a time instead, which is exact over Q: a convex
-    region is never covered by finitely many proper hyperplanes.
-    """
-    neqs = [r for r in rows if r[2] == "!="]
-    base = _expand_equalities(rows)
-    if 2 ** len(neqs) > _DNF_CAP:
-        return _fm_feasible_base(base) and all(_fm_neq_ok(base, r) for r in neqs)
-    expanded = [base]
-    for coeffs, const, _ in neqs:
-        neg = {v: -c for v, c in coeffs.items()}
-        expanded = [
-            clause + [branch]
-            for clause in expanded
-            for branch in ((coeffs, const, "<"), (neg, -const, "<"))
-        ]
-    return any(_fm_feasible_base(clause) for clause in expanded)
-
-
-def _fm_neq_ok(base, neq_row) -> bool:
-    coeffs, const, _ = neq_row
-    neg = {v: -c for v, c in coeffs.items()}
-    return _fm_feasible_base(base + [(coeffs, const, "<")]) or _fm_feasible_base(
-        base + [(neg, -const, "<")]
-    )
+    if not _fm_feasible_base(base):
+        return False
+    for coeffs, const, rel in rows:
+        if rel == "!=":
+            neg = {v: -c for v, c in coeffs.items()}
+            if not (
+                _fm_feasible_base(base + [(coeffs, const, "<")])
+                or _fm_feasible_base(base + [(neg, -const, "<")])
+            ):
+                return False
+    return True
 
 
 def _fm_feasible_base(rows) -> bool:

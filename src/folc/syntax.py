@@ -160,16 +160,27 @@ class Signature:
 
 
 def parse_signature_decl(text: str) -> list[tuple[str, int]]:
-    """Parse a "f/1,g/2,a/0" style declaration list."""
+    """Parse a "f/1,g/2,a/0" style declaration list.
+
+    A name may be declared once, and never as a keyword, which the formula
+    parser would not read as a symbol.
+    """
     out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
+    start = 0
+    for raw in text.split(","):
+        chunk = raw.strip()
+        pos, start = start + raw.find(chunk), start + len(raw) + 1
         if not chunk:
             continue
         m = re.fullmatch(r"([a-z][a-z0-9_]*)/(\d+)", chunk)
         if m is None:
-            raise ParseError(f"bad signature entry {chunk!r}", 0)
-        out.append((m.group(1), int(m.group(2))))
+            raise ParseError(f"bad signature entry {chunk!r}", pos)
+        name = m.group(1)
+        if name in _KEYWORDS:
+            raise ParseError(f"signature entry {chunk!r}: {name!r} is a keyword", pos)
+        if any(name == seen for seen, _ in out):
+            raise ParseError(f"signature entry {chunk!r}: {name!r} is already declared", pos)
+        out.append((name, int(m.group(2))))
     return out
 
 

@@ -224,6 +224,23 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err.splitlines() == [message]
 
+    @pytest.mark.parametrize(
+        "sig, message",
+        [
+            ("f/1", "folc: --sig declares no constant, so the Herbrand universe is empty"),
+            ("f/1,f/2,a/0", "folc: signature entry 'f/2': 'f' is already declared (at position 4)"),
+            ("exists/1,a/0", "folc: signature entry 'exists/1': 'exists' is a keyword (at position 0)"),
+        ],
+        ids=["no-constant", "duplicate", "keyword"],
+    )
+    def test_unusable_signatures_are_usage_errors(self, capsys, sig, message):
+        capsys.readouterr()
+        argv = ["check", "--corpus", "random", "--n", "3", "--algebra", "herbrand", "--sig", sig]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
 
 # ---------------------------------------------------------------------------
 # Fuzzing the front end: every input ends in a documented exit code

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -5,16 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folc.algebra import EMPTY_SUBST, herbrand_algebra, int_algebra, make_subst, parse_subst
+from folc.algebra import (
+    EMPTY_SUBST,
+    herbrand_algebra,
+    int_algebra,
+    make_subst,
+    parse_subst,
+    rat_algebra,
+)
 from folc.corpus import gen_formula, gen_state, persistence_corpus, soundness_corpus
 from folc.infer import get_policy
 from folc.oracle import (
     DepthBound,
     IntervalBound,
+    _DNF_CAP,
     _compile,
     _enum_entails,
     _enum_prepare,
     _enum_sat,
+    _fm_feasible,
+    _fm_feasible_base,
+    _rat_dnf,
     check_soundness,
     ground_terms,
     lemma_safe,
@@ -246,7 +258,7 @@ def _ref_assignments(formulas, J, bound):
     prep = _enum_prepare(formulas, J, bound, 0)
     if prep is None:
         return None
-    fv, free_cands, qcands = prep
+    _, fv, free_cands, qcands = prep
     return qcands, (dict(zip(fv, c)) for c in itertools.product(free_cands, repeat=len(fv)))
 
 
@@ -299,6 +311,66 @@ def test_compiled_search_matches_reference_walk(J, policy, bound):
         assert got is want, (premises, conclusion)
         decided += want is not None
     assert decided >= 2000
+
+
+def _ref_fm_feasible(rows):
+    """The sign branching the oracle ran before it checked disequations one at
+    a time: every e != 0 becomes e < 0 or -e < 0, and one of the 2^k
+    branches must be feasible."""
+    base = []
+    for coeffs, const, rel in rows:
+        if rel == "=":
+            base += [(coeffs, const, "<="), ({v: -c for v, c in coeffs.items()}, -const, "<=")]
+        elif rel != "!=":
+            base.append((coeffs, const, rel))
+    branches = [base]
+    for coeffs, const, rel in rows:
+        if rel == "!=":
+            neg = {v: -c for v, c in coeffs.items()}
+            branches = [b + [side] for b in branches for side in ((coeffs, const, "<"), (neg, -const, "<"))]
+    return any(_fm_feasible_base(b) for b in branches)
+
+
+def _fm_clauses(formulas):
+    """Every row conjunction of the DNF that the rational oracle builds for
+    the conjunction of formulas (all of them, not only those up to the first
+    feasible one)."""
+    clauses = [[]]
+    for f in formulas:
+        dnf = _rat_dnf(f, True)
+        if dnf is None:
+            return []
+        clauses = [a + b for a in clauses for b in dnf]
+        if len(clauses) > _DNF_CAP:
+            return []
+    return clauses
+
+
+def test_per_disequation_fm_matches_sign_branching():
+    J = rat_algebra()
+    neq_counts = collections.Counter()
+    for seed in (0, 7, 41):
+        for premises, conclusion in _oracle_queries(J, "linear", seed, 400):
+            formulas = premises if conclusion is None else premises + [Not(conclusion)]
+            for rows in _fm_clauses(formulas):
+                assert _fm_feasible(rows) is _ref_fm_feasible(rows), rows
+                neq_counts[sum(rel == "!=" for _, _, rel in rows)] += 1
+    assert sum(neq_counts.values()) >= 6000
+    assert set(neq_counts) == set(range(6))
+
+
+@pytest.mark.parametrize(
+    "text, sat",
+    [("0 <= x & x <= 1 & x /= 0 & x /= 1", True), ("x <= 0 & 0 <= x & x /= 0", False)],
+    ids=["open-interval", "point"],
+)
+def test_disequations_decided_by_density(text, sat):
+    # over the integers the first would be unsatisfiable; over Q the open
+    # interval (0, 1) survives both cuts, while the point 0 does not
+    J = rat_algebra()
+    assert satisfiable([F(text, J)], EMPTY_SUBST, J, None) is sat
+    (rows,) = _fm_clauses([F(text, J)])
+    assert _ref_fm_feasible(rows) is sat
 
 
 _INT_Q = list(range(-2, 3))
