@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .syntax import (
     App,
@@ -16,6 +18,7 @@ from .syntax import (
     Term,
     Val,
     Var,
+    _apply_app,
     apply_subst,
     parse_substitution_pairs,
     term_to_str,
@@ -83,8 +86,13 @@ def rat_algebra() -> Algebra:
 
 
 def herbrand_algebra(constructors) -> Algebra:
-    """Herbrand algebra over the given constructors ((name, arity) pairs)."""
+    """Herbrand algebra over the given constructors ((name, arity) pairs).
+
+    At least one constructor must be a constant, or there are no ground terms.
+    """
     sig = Signature(constructors, (), numeric=None)
+    if 0 not in sig.functions.values():
+        raise ValueError("--sig declares no constant, so the Herbrand universe is empty")
 
     def eval_fn(symbol, args):
         return App(symbol, tuple(args))
@@ -114,16 +122,36 @@ def term_is_ground(t: Term) -> bool:
 def j_eval(t: Term, J: Algebra) -> Term:
     """Replace every maximal ground subterm by its value in J.
 
-    Fixpoint of itself; over Herbrand it is the identity.
+    Fixpoint of itself; over Herbrand it is the identity.  A subterm with no
+    ground App below it comes back as the same object.
     """
-    if J.numeric is None:
+    if J.numeric is None or not isinstance(t, App):
         return t
-    if isinstance(t, (Var, Val)):
-        return t
-    args = tuple(j_eval(a, J) for a in t.args)
-    if all(isinstance(a, Val) for a in args):
-        return Val(J.eval_fn(t.symbol, [a.value for a in args]))
-    return App(t.symbol, args)
+    return _j_eval_app(t, J, {})
+
+
+def _j_eval_app(t: App, J: Algebra, memo: dict) -> Term:
+    """j_eval on an App of a numeric algebra, memoised on node identity like _apply_app."""
+    out = memo.get(id(t))
+    if out is not None:
+        return out
+    args = []
+    changed = False
+    ground = True
+    for a in t.args:
+        if isinstance(a, App):
+            b = _j_eval_app(a, J, memo)
+            changed = changed or b is not a
+        else:
+            b = a
+        ground = ground and isinstance(b, Val)
+        args.append(b)
+    if ground:
+        out = Val(J.eval_fn(t.symbol, [b.value for b in args]))
+    else:
+        out = App(t.symbol, tuple(args)) if changed else t
+    memo[id(t)] = out
+    return out
 
 
 def eval_ground(t: Term, J: Algebra):
@@ -147,17 +175,48 @@ class JSubst:
 
     Normal form: bindings sorted by name, no x/x binding, every value a
     j_eval fixpoint.  Build instances through make_subst or compose.
+
+    The hash is additive, the sum of the pair hashes, so that compose can
+    update it by difference.  It and the lookup caches below are computed
+    once and kept in the instance dict, outside the fields: ==, repr and
+    fields() ignore them.  Like App's, the hash holds only in the process
+    that computed it.
     """
 
     bindings: tuple[tuple[str, Term], ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def get(self, name: str):
         return self._mapping.get(name)
 
     @cached_property
+    def _hash(self) -> int:
+        return sum(map(hash, self.bindings))
+
+    @cached_property
     def _mapping(self) -> dict[str, Term]:
-        # Kept in the instance dict, outside the fields: ==, hash and repr ignore it.
         return dict(self.bindings)
+
+    @cached_property
+    def _value_vars(self) -> dict[str, frozenset[str]]:
+        """Name -> the variables of its value, for the non-ground values only."""
+        out = {}
+        for name, t in self.bindings:
+            vs = term_vars(t)
+            if vs:
+                out[name] = frozenset(vs)
+        return out
+
+    @cached_property
+    def _occurs(self) -> dict[str, frozenset[str]]:
+        """Variable -> the names whose value mentions it (the inverse of _value_vars)."""
+        out = {}
+        for name, vs in self._value_vars.items():
+            for y in vs:
+                out.setdefault(y, set()).add(name)
+        return {y: frozenset(names) for y, names in out.items()}
 
     def domain(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.bindings)
@@ -180,24 +239,93 @@ def make_subst(pairs, J: Algebra) -> JSubst:
         if name in out:
             raise ValueError(f"duplicate binding for {name}")
         v = j_eval(t, J)
-        if v == Var(name):
+        if isinstance(v, Var) and v.name == name:
             continue
         out[name] = v
     return JSubst(tuple(sorted(out.items())))
 
 
+_name = itemgetter(0)
+_NO_VARS = frozenset()
+
+
 def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
-    """The unique gamma with x.gamma = j_eval((x.theta).eta) for every x."""
-    out = {}
-    dom = set(theta.domain())
-    for name, t in theta.bindings:
-        v = j_eval(apply_subst(t, eta), J)
-        if v != Var(name):
-            out[name] = v
-    for name, t in eta.bindings:
-        if name not in dom:
-            out[name] = t
-    return JSubst(tuple(sorted(out.items())))
+    """The unique gamma with x.gamma = j_eval((x.theta).eta) for every x.
+
+    Only the bindings of theta whose values mention dom(eta) are rewritten,
+    found through theta's occurrence index; the two walks share one memo
+    each across them.  Every other binding keeps its value object, and
+    gamma's caches are theta's, updated by difference.
+    """
+    if not eta.bindings:
+        return theta
+    if not theta.bindings:
+        return eta
+    old, occurs, eta_map = theta._mapping, theta._occurs, eta._mapping
+    touched = set()
+    for y in eta_map:
+        touched.update(occurs.get(y, ()))
+    mapping = dict(old)
+    value_vars = dict(theta._value_vars)
+    eta_vars = eta._value_vars
+    h = theta._hash
+    pairs = list(theta.bindings)
+    dropped = []
+    gone, new = {}, {}  # variable -> names whose values stop / start mentioning it
+    apply_memo, eval_memo = {}, {}
+    for name in touched:
+        t = old[name]
+        if isinstance(t, Var):
+            v = eta_map[t.name]
+        else:
+            v = _apply_app(t, eta, apply_memo)
+            if J.numeric is not None:
+                v = _j_eval_app(v, J, eval_memo)
+        h -= hash((name, t))
+        ov = value_vars.pop(name)
+        i = bisect_left(pairs, name, key=_name)
+        if isinstance(v, Var) and v.name == name:
+            del mapping[name]
+            dropped.append(i)
+            nv = _NO_VARS
+        else:
+            mapping[name] = v
+            pairs[i] = p = (name, v)
+            h += hash(p)
+            nv = ov.difference(eta_map)
+            for y in ov.intersection(eta_map):
+                nv |= eta_vars.get(y, _NO_VARS)
+            if nv:
+                value_vars[name] = nv
+        for y in ov - nv:
+            gone.setdefault(y, set()).add(name)
+        for y in nv - ov:
+            new.setdefault(y, set()).add(name)
+    for i in sorted(dropped, reverse=True):
+        del pairs[i]
+    for p in eta.bindings:
+        name = p[0]
+        if name in old:
+            continue
+        mapping[name] = p[1]
+        h += hash(p)
+        insort(pairs, p, key=_name)
+        vs = eta_vars.get(name)
+        if vs:
+            value_vars[name] = vs
+            for y in vs:
+                new.setdefault(y, set()).add(name)
+    if gone or new:
+        occurs = dict(occurs)
+        for y in gone.keys() | new.keys():
+            names = occurs.get(y, _NO_VARS).difference(gone.get(y, ())).union(new.get(y, ()))
+            if names:
+                occurs[y] = names
+            else:
+                del occurs[y]
+    gamma = JSubst(tuple(pairs))
+    gamma.__dict__.update(_hash=h, _mapping=mapping, _value_vars=value_vars, _occurs=occurs)
+    return gamma
 
 
 def parse_subst(text: str, J: Algebra, allow_fresh: bool = False) -> JSubst:

@@ -77,10 +77,7 @@ def _make_algebra(args) -> Algebra:
     if args.algebra == "herbrand":
         if not args.sig:
             raise _UsageError("--algebra herbrand requires --sig")
-        constructors = parse_signature_decl(args.sig)
-        if not any(arity == 0 for _, arity in constructors):
-            raise _UsageError("--sig declares no constant, so the Herbrand universe is empty")
-        return herbrand_algebra(constructors)
+        return herbrand_algebra(parse_signature_decl(args.sig))
     if args.sig:
         raise _UsageError("--sig only applies to the Herbrand algebra")
     return int_algebra() if args.algebra == "int" else rat_algebra()

@@ -585,14 +585,43 @@ def all_names(f: Formula) -> set[str]:
 def apply_subst(t: Term, theta) -> Term:
     """Simultaneous replacement of bound variables; no re-evaluation.
 
-    theta is any name-to-term mapping with a .get: a JSubst or a dict.
+    theta is any name-to-term mapping with a .get: a JSubst or a dict.  A
+    subterm that mentions no bound variable comes back as the same object,
+    so t itself when theta binds none of its variables.
     """
     if isinstance(t, Var):
         v = theta.get(t.name)
         return t if v is None else v
     if isinstance(t, App):
-        return App(t.symbol, tuple(apply_subst(a, theta) for a in t.args))
+        return _apply_app(t, theta, {})
     return t
+
+
+def _apply_app(t: App, theta, memo: dict) -> Term:
+    """apply_subst on an App, memoised on node identity.
+
+    A node shared within t, or across the terms of one memo, is rewritten
+    once.  The keys are ids of input nodes, so the caller keeps every input
+    alive while the memo is in use.
+    """
+    out = memo.get(id(t))
+    if out is not None:
+        return out
+    args = []
+    changed = False
+    for a in t.args:
+        if isinstance(a, Var):
+            b = theta.get(a.name)
+            if b is None:
+                b = a
+        elif isinstance(a, App):
+            b = _apply_app(a, theta, memo)
+        else:
+            b = a
+        changed = changed or b is not a
+        args.append(b)
+    out = memo[id(t)] = App(t.symbol, tuple(args)) if changed else t
+    return out
 
 
 def rename_free(f: Formula, x: str, u: str) -> Formula:

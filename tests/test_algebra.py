@@ -1,5 +1,7 @@
 import dataclasses
+import sys
 from fractions import Fraction
+from types import FunctionType
 
 import pytest
 from hypothesis import given
@@ -11,14 +13,17 @@ from folc.algebra import (
     apply_subst,
     atom_truth,
     compose,
+    herbrand_algebra,
+    int_algebra,
     j_eval,
     literal_truth,
     make_subst,
     parse_subst,
+    rat_algebra,
 )
-from folc import syntax
-from folc.syntax import App, Atom, Eq, Neq, Val, Var, parse_term
-from conftest import int_terms
+from folc import infer, semantics, state, syntax
+from folc.syntax import App, Atom, Eq, Neq, Val, Var, parse_formula, parse_term, term_vars
+from conftest import herb_terms, int_terms, rat_terms
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -43,6 +48,15 @@ class TestJEval:
     def test_idempotent(self, t, int_alg):
         once = j_eval(t, int_alg)
         assert j_eval(once, int_alg) == once
+
+    @given(t=int_terms())
+    def test_fixpoint_comes_back_as_itself(self, t, int_alg):
+        once = j_eval(t, int_alg)
+        assert j_eval(once, int_alg) is once
+
+    @given(t=int_terms())
+    def test_matches_the_rebuilding_walk(self, t, int_alg):
+        assert j_eval(t, int_alg) == _ref_j_eval(t, int_alg)
 
     @given(t=int_terms())
     def test_ground_coincidence(self, t, int_alg):
@@ -74,6 +88,18 @@ class TestApplySubst:
     def test_dict_and_jsubst_agree(self, t, pairs):
         theta = JSubst(tuple(sorted(dict(pairs).items())))
         assert apply_subst(t, theta) == apply_subst(t, dict(theta.bindings))
+        assert apply_subst(t, theta) == _ref_apply(t, theta)
+
+    @given(int_terms(), st.lists(st.tuples(st.sampled_from("uvwxyz"), int_terms()), max_size=4))
+    def test_untouched_term_comes_back_as_itself(self, t, pairs):
+        theta = JSubst(tuple(sorted((n, v) for n, v in dict(pairs).items() if n not in term_vars(t))))
+        assert apply_subst(t, theta) is t
+
+    def test_shared_subterm_rewritten_once(self):
+        shared = App("f", (x,))
+        out = apply_subst(App("g", (shared, shared)), {"x": App("a", ())})
+        assert out == App("g", (App("f", (App("a", ()),)),) * 2)
+        assert out.args[0] is out.args[1]
 
 
 class TestCompose:
@@ -109,6 +135,110 @@ class TestCompose:
         left = compose(compose(a, b, int_alg), c, int_alg)
         right = compose(a, compose(b, c, int_alg), int_alg)
         assert left == right
+
+
+# ---------------------------------------------------------------------------
+# compose against the reference that rebuilds every binding
+
+
+def _ref_apply(t, theta):
+    if isinstance(t, Var):
+        v = theta.get(t.name)
+        return t if v is None else v
+    if isinstance(t, App):
+        return App(t.symbol, tuple(_ref_apply(a, theta) for a in t.args))
+    return t
+
+
+def _ref_j_eval(t, J):
+    if J.numeric is None or not isinstance(t, App):
+        return t
+    args = tuple(_ref_j_eval(a, J) for a in t.args)
+    if all(isinstance(a, Val) for a in args):
+        return Val(J.eval_fn(t.symbol, [a.value for a in args]))
+    return App(t.symbol, args)
+
+
+def reference_compose(theta, eta, J):
+    """compose before it became incremental: every binding re-walked, the result sorted anew."""
+    out = {}
+    dom = set(theta.domain())
+    for name, t in theta.bindings:
+        v = _ref_j_eval(_ref_apply(t, eta), J)
+        if v != Var(name):
+            out[name] = v
+    for name, t in eta.bindings:
+        if name not in dom:
+            out[name] = t
+    return JSubst(tuple(sorted(out.items())))
+
+
+def check_compose(theta, eta, J):
+    """compose(theta, eta) agrees with the reference, is normal, and shares what eta leaves alone."""
+    got = compose(theta, eta, J)
+    want = reference_compose(theta, eta, J)
+    assert got.bindings == want.bindings
+    assert got == want and hash(got) == hash(want)
+    assert str(got) == str(want) and repr(got) == repr(want)
+    names = [n for n, _ in got.bindings]
+    assert names == sorted(set(names))
+    for name, v in got.bindings:
+        assert v != Var(name)
+        assert j_eval(v, J) is v
+    for name, v in theta.bindings:
+        if not term_vars(v) & set(eta.domain()):
+            assert got.get(name) is v
+    # The caches compose carries over equal the ones computed afresh.
+    fresh = JSubst(got.bindings)
+    assert got._mapping == fresh._mapping
+    assert got._value_vars == fresh._value_vars
+    assert got._occurs == fresh._occurs
+    return got
+
+
+_COMPOSE_ALGEBRAS = {
+    "int": (int_algebra(), int_terms),
+    "rat": (rat_algebra(), rat_terms),
+    "herbrand": (herbrand_algebra([("f", 1), ("g", 2), ("a", 0), ("b", 0), ("c", 0)]), herb_terms),
+}
+
+
+def _substs(J, terms):
+    """Normal substitutions over u..z: values mention only x, y, z, so u, v, w are never mentioned."""
+    pairs = st.dictionaries(st.sampled_from("uvwxyz"), terms(), max_size=4)
+    return pairs.map(lambda d: make_subst(sorted(d.items()), J))
+
+
+class TestComposeAgainstReference:
+    @pytest.mark.parametrize("alg", sorted(_COMPOSE_ALGEBRAS))
+    @given(data=st.data())
+    def test_chains_of_compose(self, alg, data):
+        J, terms = _COMPOSE_ALGEBRAS[alg]
+        theta = data.draw(_substs(J, terms))
+        for eta in data.draw(st.lists(_substs(J, terms), min_size=1, max_size=3)):
+            theta = check_compose(theta, eta, J)
+
+    @pytest.mark.parametrize(
+        "alg, theta, eta, expected",
+        [
+            ("int", "{x/y + 1, z/2}", "{y/3}", "{x/4, y/3, z/2}"),  # eta's domain mentioned
+            ("int", "{x/y + 1}", "{u/3}", "{u/3, x/y + 1}"),  # not mentioned
+            ("rat", "{x/1/2, y/z * 2}", "{x/5, z/1/4}", "{x/1/2, y/1/2, z/1/4}"),  # overlapping domains
+            ("int", "{x/y}", "{y/x}", "{y/x}"),  # x/x collapses and is dropped
+            ("herbrand", "{x/f(y), z/g(y, a)}", "{y/f(a)}", "{x/f(f(a)), y/f(a), z/g(f(a), a)}"),
+            ("herbrand", "{x/f(y)}", "{y/g(z, z), z/a}", "{x/f(g(z, z)), y/g(z, z), z/a}"),
+        ],
+    )
+    def test_cases(self, alg, theta, eta, expected):
+        J, _ = _COMPOSE_ALGEBRAS[alg]
+        got = check_compose(parse_subst(theta, J), parse_subst(eta, J), J)
+        assert str(got) == expected
+
+    def test_untouched_bindings_keep_their_objects(self, int_alg):
+        theta = parse_subst("{w/u * u + 1, x/y + 1}", int_alg)
+        got = compose(theta, parse_subst("{y/2}", int_alg), int_alg)
+        assert got.get("w") is theta.get("w")
+        assert compose(theta, EMPTY_SUBST, int_alg) is theta
 
 
 class TestSubstNormalForm:
@@ -149,6 +279,11 @@ class TestSubstNormalForm:
         assert parse_subst("{x/3/2}", rat_alg) == theta
 
 
+def test_herbrand_signature_without_a_constant_is_rejected():
+    with pytest.raises(ValueError, match="no constant, so the Herbrand universe is empty"):
+        herbrand_algebra([("f", 1), ("g", 2)])
+
+
 def truth(f, theta, J):
     """atom_truth of f, checked against literal_truth, which decides atoms through it."""
     value = atom_truth(f, theta, J)
@@ -177,3 +312,58 @@ class TestAtomTruth:
         assert truth(Neq(a, b), EMPTY_SUBST, herb) is True
         assert truth(Eq(a, b), EMPTY_SUBST, herb) is False
         assert truth(Eq(App("f", (x,)), App("f", (a,))), parse_subst("{x/a}", herb), herb) is True
+
+
+# ---------------------------------------------------------------------------
+# Scaling, counted in calls rather than seconds
+
+
+def _count_walk_calls(monkeypatch):
+    """Count the calls of the substitution walk, recursion included.
+
+    Wraps apply_subst and its private helpers at every module binding, by
+    identity over the loaded folc modules, as bench/tracing.py does.
+    """
+    modules = [m for name, m in sys.modules.items() if name == "folc" or name.startswith("folc.")]
+    walk = {
+        f
+        for f in vars(syntax).values()
+        if isinstance(f, FunctionType) and f.__name__ in ("apply_subst", "_apply_app")
+    }
+    count = [0]
+
+    def counting(f):
+        def wrapper(*args):
+            count[0] += 1
+            return f(*args)
+
+        return wrapper
+
+    wrappers = {f: counting(f) for f in walk}
+    for m in modules:
+        for attr, value in list(vars(m).items()):
+            if isinstance(value, FunctionType) and value in wrappers:
+                monkeypatch.setattr(m, attr, wrappers[value])
+    return count
+
+
+def _chain_walk_calls(count, policy, J, link, n):
+    phi = parse_formula(" & ".join(link.format(i, i + 1) for i in range(n)), J.signature)
+    ctx = semantics.make_context(J, infer.get_policy(policy))
+    count[0] = 0
+    answers = semantics.evaluate(phi, state.pair((), EMPTY_SUBST), ctx)
+    assert len(answers) == 1 and len(answers[0].store) == 0
+    return count[0]
+
+
+@pytest.mark.parametrize(
+    "policy, link",
+    [("unify", "x{} = f(x{})"), ("linear", "x{} = x{} + 1")],
+    ids=["unify", "linear"],
+)
+def test_chain_walk_calls_grow_at_most_quadratically(monkeypatch, herb, rat_alg, policy, link):
+    J = herb if policy == "unify" else rat_alg
+    count = _count_walk_calls(monkeypatch)
+    small = _chain_walk_calls(count, policy, J, link, 100)
+    large = _chain_walk_calls(count, policy, J, link, 200)
+    assert large <= 4.5 * small, (small, large)
