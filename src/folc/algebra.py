@@ -174,10 +174,10 @@ class JSubst:
     """Finite map from variables to J-terms, kept in normal form.
 
     Normal form: bindings sorted by name, no x/x binding, every value a
-    j_eval fixpoint.  Build instances through make_subst or compose.
+    j_eval fixpoint.  Build instances through make_subst, compose or without.
 
-    The hash is additive, the sum of the pair hashes, so that compose can
-    update it by difference.  It and the lookup caches below are computed
+    The hash is additive, the sum of the pair hashes, so that compose and
+    without can update it by difference.  It and the lookup caches below are computed
     once and kept in the instance dict, outside the fields: ==, repr and
     fields() ignore them.  Like App's, the hash holds only in the process
     that computed it.
@@ -209,20 +209,26 @@ class JSubst:
                 out[name] = frozenset(vs)
         return out
 
-    @cached_property
-    def _occurs(self) -> dict[str, frozenset[str]]:
-        """Variable -> the names whose value mentions it (the inverse of _value_vars)."""
-        out = {}
-        for name, vs in self._value_vars.items():
-            for y in vs:
-                out.setdefault(y, set()).add(name)
-        return {y: frozenset(names) for y, names in out.items()}
-
     def domain(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.bindings)
 
     def is_empty(self) -> bool:
         return not self.bindings
+
+    def without(self, names) -> JSubst:
+        """self with the bindings of names removed; the caches carry over by difference."""
+        gone = self._mapping.keys() & names
+        if not gone:
+            return self
+        mapping = dict(self._mapping)
+        value_vars = dict(self._value_vars)
+        h = self._hash
+        for name in gone:
+            h -= hash((name, mapping.pop(name)))
+            value_vars.pop(name, None)
+        out = JSubst(tuple(p for p in self.bindings if p[0] in mapping))
+        out.__dict__.update(_hash=h, _mapping=mapping, _value_vars=value_vars)
+        return out
 
     def __str__(self) -> str:
         inner = ", ".join(f"{n}/{term_to_str(t)}" for n, t in self.bindings)
@@ -252,28 +258,24 @@ _NO_VARS = frozenset()
 def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
     """The unique gamma with x.gamma = j_eval((x.theta).eta) for every x.
 
-    Only the bindings of theta whose values mention dom(eta) are rewritten,
-    found through theta's occurrence index; the two walks share one memo
-    each across them.  Every other binding keeps its value object, and
-    gamma's caches are theta's, updated by difference.
+    Only the non-ground bindings of theta whose values mention dom(eta) are
+    rewritten; the two walks share one memo each across them.  Every other
+    binding keeps its value object, and gamma's caches are theta's, updated
+    by difference.
     """
     if not eta.bindings:
         return theta
     if not theta.bindings:
         return eta
-    old, occurs, eta_map = theta._mapping, theta._occurs, eta._mapping
-    touched = set()
-    for y in eta_map:
-        touched.update(occurs.get(y, ()))
+    old, eta_map, eta_vars = theta._mapping, eta._mapping, eta._value_vars
     mapping = dict(old)
     value_vars = dict(theta._value_vars)
-    eta_vars = eta._value_vars
     h = theta._hash
     pairs = list(theta.bindings)
-    dropped = []
-    gone, new = {}, {}  # variable -> names whose values stop / start mentioning it
     apply_memo, eval_memo = {}, {}
-    for name in touched:
+    for name, ov in theta._value_vars.items():
+        if ov.isdisjoint(eta_map):
+            continue
         t = old[name]
         if isinstance(t, Var):
             v = eta_map[t.name]
@@ -282,27 +284,20 @@ def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
             if J.numeric is not None:
                 v = _j_eval_app(v, J, eval_memo)
         h -= hash((name, t))
-        ov = value_vars.pop(name)
+        del value_vars[name]
         i = bisect_left(pairs, name, key=_name)
         if isinstance(v, Var) and v.name == name:
             del mapping[name]
-            dropped.append(i)
-            nv = _NO_VARS
-        else:
-            mapping[name] = v
-            pairs[i] = p = (name, v)
-            h += hash(p)
-            nv = ov.difference(eta_map)
-            for y in ov.intersection(eta_map):
-                nv |= eta_vars.get(y, _NO_VARS)
-            if nv:
-                value_vars[name] = nv
-        for y in ov - nv:
-            gone.setdefault(y, set()).add(name)
-        for y in nv - ov:
-            new.setdefault(y, set()).add(name)
-    for i in sorted(dropped, reverse=True):
-        del pairs[i]
+            del pairs[i]
+            continue
+        mapping[name] = v
+        pairs[i] = p = (name, v)
+        h += hash(p)
+        nv = ov.difference(eta_map)
+        for y in ov.intersection(eta_map):
+            nv |= eta_vars.get(y, _NO_VARS)
+        if nv:
+            value_vars[name] = nv
     for p in eta.bindings:
         name = p[0]
         if name in old:
@@ -313,18 +308,8 @@ def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
         vs = eta_vars.get(name)
         if vs:
             value_vars[name] = vs
-            for y in vs:
-                new.setdefault(y, set()).add(name)
-    if gone or new:
-        occurs = dict(occurs)
-        for y in gone.keys() | new.keys():
-            names = occurs.get(y, _NO_VARS).difference(gone.get(y, ())).union(new.get(y, ()))
-            if names:
-                occurs[y] = names
-            else:
-                del occurs[y]
     gamma = JSubst(tuple(pairs))
-    gamma.__dict__.update(_hash=h, _mapping=mapping, _value_vars=value_vars, _occurs=occurs)
+    gamma.__dict__.update(_hash=h, _mapping=mapping, _value_vars=value_vars)
     return gamma
 
 

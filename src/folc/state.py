@@ -110,7 +110,7 @@ def dedup(states) -> AnswerSet:
 
 def drop_subst(u: str, theta: JSubst) -> JSubst:
     """Unbind u; all other bindings stay, even values that mention u."""
-    return JSubst(tuple(p for p in theta.bindings if p[0] != u))
+    return theta.without((u,))
 
 
 def drop_state(u: str, sigma) -> State:
@@ -139,9 +139,7 @@ def drop_state(u: str, sigma) -> State:
     quantified = Exists(u, reduce(And, conjuncts))
     moved = set(c_u)
     rest = [f for f in store if f not in moved]
-    removed = {u, *ys}
-    new_subst = JSubst(tuple(p for p in eta.bindings if p[0] not in removed))
-    return Pair(Store(rest + [quantified]), new_subst)
+    return Pair(Store(rest + [quantified]), eta.without((u, *ys)))
 
 
 # ---------------------------------------------------------------------------

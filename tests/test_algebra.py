@@ -192,7 +192,6 @@ def check_compose(theta, eta, J):
     fresh = JSubst(got.bindings)
     assert got._mapping == fresh._mapping
     assert got._value_vars == fresh._value_vars
-    assert got._occurs == fresh._occurs
     return got
 
 
@@ -234,11 +233,60 @@ class TestComposeAgainstReference:
         got = check_compose(parse_subst(theta, J), parse_subst(eta, J), J)
         assert str(got) == expected
 
+    def test_collapse_after_a_reinserted_value_vars_key(self):
+        # The first compose re-inserts p into _value_vars, so the second one
+        # visits r, s, p, w: not name order.  Both r/r and p/p collapse, and
+        # each is deleted at the index it has when it is found.
+        J = herbrand_algebra([("f", 1), ("k", 0)])
+        theta = check_compose(parse_subst("{p/w, r/v, s/f(q)}", J), parse_subst("{w/y}", J), J)
+        got = check_compose(theta, parse_subst("{y/p, v/r}", J), J)
+        assert str(got) == "{s/f(q), v/r, w/p, y/p}"
+
     def test_untouched_bindings_keep_their_objects(self, int_alg):
         theta = parse_subst("{w/u * u + 1, x/y + 1}", int_alg)
         got = compose(theta, parse_subst("{y/2}", int_alg), int_alg)
         assert got.get("w") is theta.get("w")
         assert compose(theta, EMPTY_SUBST, int_alg) is theta
+
+
+def check_caches(got, bindings):
+    """got holds exactly these bindings, and its carried caches equal the ones computed afresh."""
+    fresh = JSubst(bindings)
+    assert got.bindings == bindings
+    assert got == fresh and hash(got) == hash(fresh) and repr(got) == repr(fresh)
+    assert got._mapping == fresh._mapping
+    assert got._value_vars == fresh._value_vars
+
+
+def _composed(data, alg):
+    """A substitution from make_subst, composed with up to two more, so it may carry caches."""
+    J, terms = _COMPOSE_ALGEBRAS[alg]
+    theta = data.draw(_substs(J, terms))
+    for eta in data.draw(st.lists(_substs(J, terms), max_size=2)):
+        theta = compose(theta, eta, J)
+    return theta
+
+
+class TestDropKeepsCaches:
+    @pytest.mark.parametrize("alg", sorted(_COMPOSE_ALGEBRAS))
+    @given(data=st.data())
+    def test_drop_subst(self, alg, data):
+        theta = _composed(data, alg)
+        for u in "uvwxyz":
+            got = state.drop_subst(u, theta)
+            check_caches(got, tuple(p for p in theta.bindings if p[0] != u))
+            if theta.get(u) is None:
+                assert got is theta
+
+    @pytest.mark.parametrize("alg", sorted(_COMPOSE_ALGEBRAS))
+    @given(data=st.data())
+    def test_drop_state(self, alg, data):
+        theta = _composed(data, alg)
+        for u in "xyz":
+            sigma = state.pair([Neq(Var(u), Var("v"))], theta)
+            removed = {u} | {n for n, t in theta.bindings if u in term_vars(t)}
+            got = state.drop_state(u, sigma).subst
+            check_caches(got, tuple(p for p in theta.bindings if p[0] not in removed))
 
 
 class TestSubstNormalForm:
@@ -318,18 +366,14 @@ class TestAtomTruth:
 # Scaling, counted in calls rather than seconds
 
 
-def _count_walk_calls(monkeypatch):
-    """Count the calls of the substitution walk, recursion included.
+def _count_calls(monkeypatch, names):
+    """Count the calls of the named syntax functions, recursion included.
 
-    Wraps apply_subst and its private helpers at every module binding, by
-    identity over the loaded folc modules, as bench/tracing.py does.
+    Wraps them at every module binding, by identity over the loaded folc
+    modules, as bench/tracing.py does.
     """
     modules = [m for name, m in sys.modules.items() if name == "folc" or name.startswith("folc.")]
-    walk = {
-        f
-        for f in vars(syntax).values()
-        if isinstance(f, FunctionType) and f.__name__ in ("apply_subst", "_apply_app")
-    }
+    walk = {f for f in vars(syntax).values() if isinstance(f, FunctionType) and f.__name__ in names}
     count = [0]
 
     def counting(f):
@@ -347,7 +391,7 @@ def _count_walk_calls(monkeypatch):
     return count
 
 
-def _chain_walk_calls(count, policy, J, link, n):
+def _chain_calls(count, policy, J, link, n):
     phi = parse_formula(" & ".join(link.format(i, i + 1) for i in range(n)), J.signature)
     ctx = semantics.make_context(J, infer.get_policy(policy))
     count[0] = 0
@@ -363,7 +407,16 @@ def _chain_walk_calls(count, policy, J, link, n):
 )
 def test_chain_walk_calls_grow_at_most_quadratically(monkeypatch, herb, rat_alg, policy, link):
     J = herb if policy == "unify" else rat_alg
-    count = _count_walk_calls(monkeypatch)
-    small = _chain_walk_calls(count, policy, J, link, 100)
-    large = _chain_walk_calls(count, policy, J, link, 200)
+    count = _count_calls(monkeypatch, ("apply_subst", "_apply_app"))
+    small = _chain_calls(count, policy, J, link, 100)
+    large = _chain_calls(count, policy, J, link, 200)
     assert large <= 4.5 * small, (small, large)
+
+
+def test_existential_chain_value_walks_grow_linearly(monkeypatch, herb):
+    """Dropping u keeps the substitution's caches, so compose does not walk every value again."""
+    count = _count_calls(monkeypatch, ("term_vars",))
+    link = "(exists u. x{} = f(u) & u = f(x{}))"
+    small = _chain_calls(count, "unify", herb, link, 100)
+    large = _chain_calls(count, "unify", herb, link, 200)
+    assert large <= 2.5 * small, (small, large)
