@@ -168,6 +168,18 @@ def eval_ground(t: Term, J: Algebra):
 # ---------------------------------------------------------------------------
 # J-substitutions
 
+_MASK = (1 << 64) - 1
+
+
+def _mix(h: int) -> int:
+    """Spread a pair hash over 64 bits, as frozenset's hash does for its entries.
+
+    Tuple hashes are close to linear in their items' hashes, so plain sums
+    of them collide often: the 1,024 answers of a 10-way disjunction chain
+    summed to fewer than 200 distinct hashes.
+    """
+    return ((h ^ 89869747) ^ (h << 16)) * 3644798167 & _MASK
+
 
 @dataclass(frozen=True)
 class JSubst:
@@ -176,11 +188,13 @@ class JSubst:
     Normal form: bindings sorted by name, no x/x binding, every value a
     j_eval fixpoint.  Build instances through make_subst, compose or without.
 
-    The hash is additive, the sum of the pair hashes, so that compose and
-    without can update it by difference.  It and the lookup caches below are computed
-    once and kept in the instance dict, outside the fields: ==, repr and
-    fields() ignore them.  Like App's, the hash holds only in the process
-    that computed it.
+    The hash is additive, the sum of the mixed pair hashes (_mix), so that
+    compose and without can update it by difference; they carry it only
+    once it has been computed, since most substitutions along a chain are
+    never hashed.  It and the lookup caches below are computed once and
+    kept in the instance dict, outside the fields: ==, repr and fields()
+    ignore them.  Like App's, the hash holds only in the process that
+    computed it.
     """
 
     bindings: tuple[tuple[str, Term], ...] = ()
@@ -193,7 +207,7 @@ class JSubst:
 
     @cached_property
     def _hash(self) -> int:
-        return sum(map(hash, self.bindings))
+        return sum(_mix(hash(p)) for p in self.bindings)
 
     @cached_property
     def _mapping(self) -> dict[str, Term]:
@@ -216,18 +230,30 @@ class JSubst:
         return not self.bindings
 
     def without(self, names) -> JSubst:
-        """self with the bindings of names removed; the caches carry over by difference."""
+        """self with the bindings of names removed.
+
+        The caches self has computed carry over by difference.
+        """
         gone = self._mapping.keys() & names
         if not gone:
             return self
         mapping = dict(self._mapping)
-        value_vars = dict(self._value_vars)
-        h = self._hash
-        for name in gone:
-            h -= hash((name, mapping.pop(name)))
-            value_vars.pop(name, None)
+        dropped = [(name, mapping.pop(name)) for name in gone]
         out = JSubst(tuple(p for p in self.bindings if p[0] in mapping))
-        out.__dict__.update(_hash=h, _mapping=mapping, _value_vars=value_vars)
+        out.__dict__["_mapping"] = mapping
+        h = self.__dict__.get("_hash")
+        if h is not None:
+            out.__dict__["_hash"] = h - sum(_mix(hash(p)) for p in dropped)
+        value_vars = self.__dict__.get("_value_vars")
+        if value_vars is not None:
+            out.__dict__["_value_vars"] = {n: vs for n, vs in value_vars.items() if n not in gone}
+        return out
+
+    def changed(self, other: JSubst) -> set[str]:
+        """The names other binds to another object than self does, or that only one binds."""
+        a, b = self._mapping, other._mapping
+        out = {n for n, v in b.items() if a.get(n) is not v}
+        out.update(a.keys() - b.keys())
         return out
 
     def __str__(self) -> str:
@@ -261,7 +287,7 @@ def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
     Only the non-ground bindings of theta whose values mention dom(eta) are
     rewritten; the two walks share one memo each across them.  Every other
     binding keeps its value object, and gamma's caches are theta's, updated
-    by difference.
+    by difference; the hash only when theta has computed it.
     """
     if not eta.bindings:
         return theta
@@ -270,7 +296,7 @@ def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
     old, eta_map, eta_vars = theta._mapping, eta._mapping, eta._value_vars
     mapping = dict(old)
     value_vars = dict(theta._value_vars)
-    h = theta._hash
+    h = theta.__dict__.get("_hash")
     pairs = list(theta.bindings)
     apply_memo, eval_memo = {}, {}
     for name, ov in theta._value_vars.items():
@@ -283,16 +309,18 @@ def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
             v = _apply_app(t, eta, apply_memo)
             if J.numeric is not None:
                 v = _j_eval_app(v, J, eval_memo)
-        h -= hash((name, t))
         del value_vars[name]
         i = bisect_left(pairs, name, key=_name)
+        if h is not None:
+            h -= _mix(hash(pairs[i]))
         if isinstance(v, Var) and v.name == name:
             del mapping[name]
             del pairs[i]
             continue
         mapping[name] = v
         pairs[i] = p = (name, v)
-        h += hash(p)
+        if h is not None:
+            h += _mix(hash(p))
         nv = ov.difference(eta_map)
         for y in ov.intersection(eta_map):
             nv |= eta_vars.get(y, _NO_VARS)
@@ -303,13 +331,16 @@ def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
         if name in old:
             continue
         mapping[name] = p[1]
-        h += hash(p)
+        if h is not None:
+            h += _mix(hash(p))
         insort(pairs, p, key=_name)
         vs = eta_vars.get(name)
         if vs:
             value_vars[name] = vs
     gamma = JSubst(tuple(pairs))
-    gamma.__dict__.update(_hash=h, _mapping=mapping, _value_vars=value_vars)
+    gamma.__dict__.update(_mapping=mapping, _value_vars=value_vars)
+    if h is not None:
+        gamma.__dict__["_hash"] = h
     return gamma
 
 

@@ -12,7 +12,8 @@ sound over, an admission test deciding which stores it handles (any other
 store is error), and one resolve rule, one subclass per rule (unification,
 literal truth, disequations, Gaussian pivoting).  StorePolicy.step resolves
 every constraint of the store once and acts on the last active one; aux
-repeats step until no constraint is active.
+reaches the same fixpoint as repeating step, resolving again only the
+constraints a binding touches.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .syntax import (
     Val,
     Var,
     all_names,
+    free_vars,
     max_fresh_index,
     rename_free,
     term_vars,
@@ -229,15 +231,66 @@ class InferPolicy:
         return f"<policy {self.name}>"
 
 
+_PASSIVE = ("passive",)
+
+
+def _watched(f: Formula) -> frozenset:
+    """free_vars(f), kept on the node as App keeps its hash."""
+    vs = f.__dict__.get("_watched")
+    if vs is None:
+        vs = f.__dict__["_watched"] = frozenset(free_vars(f))
+    return vs
+
+
 def aux(policy: StorePolicy, sigma, J: Algebra):
-    """Maximal repetition of policy.step: () on fail, else the fixpoint state."""
+    """Maximal repetition of policy.step: () on fail, else the fixpoint state.
+
+    Each round acts as step does, on the last active constraint, and leaves
+    the passive constraints followed by the remaining active ones; but a
+    verdict is kept across rounds until a bind may have moved it.  resolve
+    reads theta only through the values of the constraint's free variables,
+    so its verdict holds until a bind gives one of those names another value
+    object or binds or unbinds it (compose keeps every untouched binding as
+    the same object).  A bind outcome also carries the new substitution, so
+    it is acted on only when it was computed under the current theta.
+
+    The store is built once, at the fixpoint, and marked closed under
+    (policy, J, theta).  Store.add keeps the mark, so the next aux on that
+    store and substitution resolves only the formulas added since.
+    """
+    store, theta = sigma.store, sigma.subst
+    known = store.closed_prefix(policy, J, theta)
+    # (formula, verdict or None while unknown, the theta it was computed under)
+    entries = [(f, _PASSIVE if i < known else None, theta) for i, f in enumerate(store.items)]
+    removed = []
     while True:
-        succ = policy.step(sigma, J)
-        if succ is None:
+        passive, active = [], []
+        for e in entries:
+            if e[1] is None:
+                e = (e[0], policy.resolve(e[0], theta, J), theta)
+            (passive if e[1][0] == "passive" else active).append(e)
+        if not active:
+            break
+        f, outcome, under = active.pop()
+        if outcome[0] == "fail":
             return ()
-        if succ is sigma:
-            return (sigma,)
-        sigma = succ
+        removed.append(f)
+        entries = passive + active
+        if outcome[0] == "bind":
+            if under is not theta:
+                outcome = policy.resolve(f, theta, J)
+            changed = theta.changed(outcome[1]) if entries else None
+            theta = outcome[1]
+            if changed:
+                entries = [
+                    e if changed.isdisjoint(_watched(e[0])) else (e[0], None, None)
+                    for e in entries
+                ]
+    if removed:
+        store = store.successor(tuple(e[0] for e in entries), removed)
+        sigma = Pair(store, theta)
+    store.mark_closed(policy, J, theta)
+    return (sigma,)
 
 
 class StorePolicy(InferPolicy):
@@ -282,13 +335,21 @@ class StorePolicy(InferPolicy):
         return Pair(Store(passive + active[:-1]), subst)
 
     def apply(self, sigma, J: Algebra):
+        """aux on an admitted store; otherwise () if classify finds it inconsistent, else error.
+
+        An admitted store needs no classify.  A literal that is ground and
+        false under theta stays so under every compose, which keeps ground
+        values as they are, and every policy resolves it to fail, never to
+        passive or drop.  So it stays in the store until it is the last
+        active constraint, and aux returns () as classify would have.
+        """
         if sigma is ERROR:
             return (ERROR,)
         if len(sigma.store) == 0:
             return (sigma,)
-        if classify(sigma, J) is Classification.INCONSISTENT:
-            return ()
         if not all(self.admits(f) for f in sigma.store):
+            if classify(sigma, J) is Classification.INCONSISTENT:
+                return ()
             return (ERROR,)
         return aux(self, sigma, J)
 

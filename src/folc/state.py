@@ -15,18 +15,47 @@ class Store:
 
     Equality and hashing are order-insensitive (set semantics); the stored
     order is kept for deterministic splitting and printing.
+
+    A store may also remember that infer.aux closed it: its first n items
+    are passive under one (policy, algebra, substitution), compared by
+    identity.  add carries the record forward; every other constructor
+    starts without one.  Like the hash caches of App and JSubst, the record
+    is outside equality and hashing.
     """
 
-    __slots__ = ("items", "_key")
+    __slots__ = ("items", "_key", "_closed")
 
     def __init__(self, items=()):
         self.items = tuple(dict.fromkeys(items))
         self._key = frozenset(self.items)
+        self._closed = None
+
+    @classmethod
+    def _of(cls, items: tuple, key: frozenset, closed=None) -> "Store":
+        """A store from duplicate-free items and their frozenset, hashing nothing again."""
+        s = object.__new__(cls)
+        s.items, s._key, s._closed = items, key, closed
+        return s
 
     def add(self, f: Formula) -> "Store":
         if f in self._key:
             return self
-        return Store(self.items + (f,))
+        return Store._of(self.items + (f,), self._key | {f}, self._closed)
+
+    def successor(self, items: tuple, removed) -> "Store":
+        """The store of items: self's items less the removed ones, in any order."""
+        return Store._of(items, self._key.difference(removed))
+
+    def closed_prefix(self, policy, J, theta) -> int:
+        """How many leading items are known passive under exactly these objects."""
+        c = self._closed
+        if c is not None and c[1] is policy and c[2] is J and c[3] is theta:
+            return c[0]
+        return 0
+
+    def mark_closed(self, policy, J, theta) -> None:
+        """Record that every item is passive under (policy, J, theta)."""
+        self._closed = (len(self.items), policy, J, theta)
 
     def __iter__(self):
         return iter(self.items)
@@ -95,6 +124,8 @@ def pair(formulas, subst: JSubst) -> Pair:
 
 
 def dedup(states) -> AnswerSet:
+    if len(states) < 2:  # nothing to compare: hash no state
+        return tuple(states)
     seen = set()
     out = []
     for s in states:

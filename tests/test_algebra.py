@@ -259,11 +259,18 @@ def check_caches(got, bindings):
 
 
 def _composed(data, alg):
-    """A substitution from make_subst, composed with up to two more, so it may carry caches."""
+    """A substitution from make_subst, composed with up to two more, so it may carry caches.
+
+    Hashing one in between lets the rest carry the hash by difference.
+    """
     J, terms = _COMPOSE_ALGEBRAS[alg]
     theta = data.draw(_substs(J, terms))
     for eta in data.draw(st.lists(_substs(J, terms), max_size=2)):
+        if data.draw(st.booleans()):
+            hash(theta)
         theta = compose(theta, eta, J)
+    if data.draw(st.booleans()):
+        hash(theta)
     return theta
 
 
@@ -287,6 +294,22 @@ class TestDropKeepsCaches:
             removed = {u} | {n for n, t in theta.bindings if u in term_vars(t)}
             got = state.drop_state(u, sigma).subst
             check_caches(got, tuple(p for p in theta.bindings if p[0] not in removed))
+
+
+def test_without_computes_no_cache_its_input_lacks(int_alg):
+    theta = parse_subst("{x/y + 1, z/2}", int_alg)
+    got = theta.without(("z",))
+    assert "_value_vars" not in got.__dict__ and "_hash" not in got.__dict__
+    check_caches(got, theta.bindings[:1])
+
+
+def test_disjunction_chain_answers_hash_apart(int_alg):
+    """Sums of raw pair hashes collide: the 1,024 answers gave under 200 distinct ones."""
+    phi = parse_formula(" & ".join(f"(x{i} = 3 | x{i} = 4)" for i in range(10)), int_alg.signature)
+    ctx = semantics.make_context(int_alg, infer.ATOMS)
+    answers = semantics.evaluate(phi, state.pair((), EMPTY_SUBST), ctx)
+    assert len(answers) == 1024
+    assert len({hash(s.subst) for s in answers}) == 1024
 
 
 class TestSubstNormalForm:

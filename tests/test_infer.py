@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from folc.algebra import EMPTY_SUBST, apply_subst, make_subst, parse_subst
+from folc import infer
+from folc.algebra import EMPTY_SUBST, apply_subst, int_algebra, make_subst, parse_subst
+from folc.corpus import persistence_corpus, soundness_corpus
 from folc.infer import (
     ATOMS,
     BASELINE,
@@ -13,6 +15,7 @@ from folc.infer import (
     LITERALS,
     POLICIES,
     UNIFY,
+    LiteralsPolicy,
     storeless_eval,
     aux,
     baseline_infer,
@@ -20,8 +23,9 @@ from folc.infer import (
     mgu,
     rewrite_linear,
 )
+from folc.semantics import evaluate, make_context
 from folc.state import ERROR, Pair, Store, pair
-from folc.syntax import Atom, Not, Or, Val, Var, free_vars, parse_formula
+from folc.syntax import And, Atom, Not, Or, Val, Var, free_vars, parse_formula
 from conftest import herb_terms
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -134,6 +138,138 @@ def _measure(sigma, J):
 
         applied_vars |= free_vars(subst_formula(f, sigma.subst, J))
     return (len(applied_vars), len(sigma.store))
+
+
+def reference_aux(policy, sigma, J):
+    """aux by its definition: policy.step repeated until it fails or changes nothing."""
+    while True:
+        succ = policy.step(sigma, J)
+        if succ is None:
+            return ()
+        if succ is sigma:
+            return (sigma,)
+        sigma = succ
+
+
+def _ordered(states):
+    """States as their ordered store items, bindings and printed form: Store's == ignores order."""
+    return [(s.store.items, s.subst.bindings, str(s)) for s in states]
+
+
+def _conjuncts(phi):
+    return _conjuncts(phi.lhs) + _conjuncts(phi.rhs) if isinstance(phi, And) else [phi]
+
+
+STORE_POLICIES = ("atoms", "literals", "unify", "diseq", "linear")
+
+
+class TestAuxAgainstRepeatedStep:
+    @pytest.mark.parametrize("name", STORE_POLICIES)
+    def test_corpus_states_and_chained_states(self, name, monkeypatch, int_alg, herb, rat_alg):
+        """Every aux call made while evaluating the corpora, conjunct by conjunct, matches step."""
+        J = {"unify": herb, "diseq": herb, "linear": rat_alg}.get(name, int_alg)
+        policy = get_policy(name)
+        incremental = infer.aux
+        seen = {"calls": 0, "closed": 0}
+
+        def checked(p, sigma, J):
+            want = reference_aux(p, sigma, J)
+            seen["closed"] += sigma.store.closed_prefix(p, J, sigma.subst) > 0
+            got = incremental(p, sigma, J)
+            assert _ordered(got) == _ordered(want), str(sigma)
+            seen["calls"] += 1
+            return got
+
+        monkeypatch.setattr(infer, "aux", checked)
+        for seed in (41, 42):
+            for phi, sigma in soundness_corpus(seed, J, name, 200) + persistence_corpus(
+                seed, J, name, 200
+            ):
+                if all(policy.admits(f) for f in sigma.store):
+                    checked(policy, sigma, J)
+                # the outputs of one evaluate, fed the next conjunct: their
+                # stores come marked closed
+                ctx = make_context(J, policy)
+                states = [sigma]
+                for conjunct in _conjuncts(phi):
+                    states = [out for st in states for out in evaluate(conjunct, st, ctx)]
+        # under unify every admitted constraint binds or fails, so each
+        # fixpoint store is empty and no prefix is ever known passive
+        assert seen["calls"] > 1000 and (seen["closed"] > 10 or name == "unify"), seen
+
+    def test_closed_record_needs_the_very_same_objects(self, monkeypatch, int_alg):
+        calls = _count_resolves(monkeypatch)
+        theta = parse_subst("{u/1}", int_alg)
+        (closed,) = aux(LITERALS, pair([F("y < z", int_alg), F("x < y", int_alg)], theta), int_alg)
+        cases = [
+            (LITERALS, int_alg, theta, 2),  # the recorded objects: only w < x is resolved
+            (ATOMS, int_alg, theta, 0),  # another policy
+            (LITERALS, int_algebra(), theta, 0),  # another algebra object
+            (LITERALS, int_alg, parse_subst("{u/1}", int_alg), 0),  # equal, not the same
+        ]
+        for policy, J, th, known in cases:
+            grown = closed.store.add(F("w < x", int_alg))
+            assert grown.closed_prefix(policy, J, th) == known
+            sigma = Pair(grown, th)
+            calls[0] = 0
+            assert aux(policy, sigma, J) == (sigma,)
+            assert calls[0] == 3 - known
+            # now every item is known passive under these objects
+            assert grown.closed_prefix(policy, J, th) == 3
+
+    def test_a_record_for_another_policy_is_ignored(self, rat_alg):
+        # x = y * y waits as non-linear under linear, but literals binds x
+        sigma = pair([F("x = y * y", rat_alg)], EMPTY_SUBST)
+        assert aux(LINEAR, sigma, rat_alg) == (sigma,)
+        assert sigma.store.closed_prefix(LINEAR, rat_alg, EMPTY_SUBST) == 1
+        assert str(aux(LITERALS, sigma, rat_alg)[0]) == "<{} | {x/y * y}>"
+
+    def test_a_name_that_leaves_the_domain_wakes_its_constraints(self, herb):
+        # theta need not be idempotent: binding y to x collapses x/y into x/x,
+        # so x leaves the domain and f(x) /= z, which does not mention y,
+        # turns into f(x) /= f(x)
+        theta = parse_subst("{x/y, z/f(x)}", herb)
+        sigma = pair([F("f(x) /= z", herb), F("f(y) = z", herb)], theta)
+        assert str(DISEQ.step(sigma, herb)) == "<f(x) /= z | {y/x, z/f(x)}>"
+        assert aux(DISEQ, sigma, herb) == reference_aux(DISEQ, sigma, herb) == ()
+
+    def test_inconsistent_admitted_store_fails_without_classify(self, int_alg):
+        # 1 < 0 is ground and false; the binding of y after it leaves it so
+        sigma = pair([F("y = 1", int_alg), F("1 < 0", int_alg), F("z = y", int_alg)], EMPTY_SUBST)
+        assert ATOMS.apply(sigma, int_alg) == ()
+        assert reference_aux(ATOMS, sigma, int_alg) == ()
+
+
+def _count_resolves(monkeypatch):
+    """Count LiteralsPolicy.resolve calls (the atoms and literals policies)."""
+    count = [0]
+    resolve = LiteralsPolicy.resolve
+
+    def counting(self, f, theta, J):
+        count[0] += 1
+        return resolve(self, f, theta, J)
+
+    monkeypatch.setattr(LiteralsPolicy, "resolve", counting)
+    return count
+
+
+def _atoms_chain_resolves(count, J, n):
+    links = [f"x{i} < x{i + 1}" for i in range(n)] + [f"x{i} = {i}" for i in range(n + 1)]
+    phi = parse_formula(" & ".join(links), J.signature)
+    count[0] = 0
+    answers = evaluate(phi, pair((), EMPTY_SUBST), make_context(J, ATOMS))
+    assert [str(s) for s in answers] == [
+        "<{} | {" + ", ".join(f"x{i}/{i}" for i in sorted(range(n + 1), key=str)) + "}>"
+    ]
+    return count[0]
+
+
+def test_atoms_chain_resolves_grow_linearly(monkeypatch, int_alg):
+    """n atoms x_i < x_{i+1}, then n + 1 groundings: each binding wakes only its neighbours."""
+    count = _count_resolves(monkeypatch)
+    small = _atoms_chain_resolves(count, int_alg, 100)
+    large = _atoms_chain_resolves(count, int_alg, 200)
+    assert large <= 2.5 * small, (small, large)
 
 
 class TestUnifyPolicy:
