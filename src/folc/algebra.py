@@ -190,11 +190,11 @@ class JSubst:
 
     The hash is additive, the sum of the mixed pair hashes (_mix), so that
     compose and without can update it by difference; they carry it only
-    once it has been computed, since most substitutions along a chain are
-    never hashed.  It and the lookup caches below are computed once and
-    kept in the instance dict, outside the fields: ==, repr and fields()
-    ignore them.  Like App's, the hash holds only in the process that
-    computed it.
+    once it has been computed, since most substitutions are never hashed
+    (state.dedup hashes no state of a one-state answer set).  It and the
+    lookup caches below are computed once and kept in the instance dict,
+    outside the fields: ==, repr and fields() ignore them.  Like App's, the
+    hash holds only in the process that computed it.
     """
 
     bindings: tuple[tuple[str, Term], ...] = ()

@@ -124,7 +124,9 @@ def pair(formulas, subst: JSubst) -> Pair:
 
 
 def dedup(states) -> AnswerSet:
-    if len(states) < 2:  # nothing to compare: hash no state
+    # Nothing to compare: hash no state, so that the substitutions along a
+    # chain of conjuncts stay unhashed (see JSubst).
+    if len(states) < 2:
         return tuple(states)
     seen = set()
     out = []
