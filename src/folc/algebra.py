@@ -21,8 +21,8 @@ from .syntax import (
     _apply_app,
     apply_subst,
     parse_substitution_pairs,
-    term_to_str,
     term_vars,
+    write_to,
 )
 
 
@@ -256,9 +256,18 @@ class JSubst:
         out.update(a.keys() - b.keys())
         return out
 
+    def write(self, out: list) -> None:
+        """Append the printed substitution to out: {x/t, ...}."""
+        out.append("{")
+        for k, (name, t) in enumerate(self.bindings):
+            out.append(f", {name}/" if k else f"{name}/")
+            write_to(out, t)
+        out.append("}")
+
     def __str__(self) -> str:
-        inner = ", ".join(f"{n}/{term_to_str(t)}" for n, t in self.bindings)
-        return "{" + inner + "}"
+        out: list[str] = []
+        self.write(out)
+        return "".join(out)
 
 
 EMPTY_SUBST = JSubst()

@@ -681,7 +681,8 @@ def _case_checks(phi, sigma, policy, J, bound, boost):
     """All oracle assertions for one corpus case.
 
     Returns (checks, unknown) where checks is a list of
-    (name, expected_true_verdict, detail) triples.
+    (name, expected_true_verdict, detail) triples.  A detail is a function
+    that formats the check's text; only a failing check's is called.
     """
     checks = []
     unknown = False
@@ -696,9 +697,9 @@ def _case_checks(phi, sigma, policy, J, bound, boost):
     out = evaluate(phi, sigma, make_context(J, policy))
     for st in out:
         if isinstance(st, Pair):
-            ask("soundness-satisfaction", models(st, phi, J, bound, boost), f"{st} |= {phi}")
+            ask("soundness-satisfaction", models(st, phi, J, bound, boost), lambda st=st: f"{st} |= {phi}")
     if not cons_plus(out, J):
-        ask("soundness-refutation", models(sigma, Not(phi), J, bound, boost), f"{sigma} |= ~({phi})")
+        ask("soundness-refutation", models(sigma, Not(phi), J, bound, boost), lambda: f"{sigma} |= ~({phi})")
 
     if isinstance(phi, And):
         phi1, phi2 = phi.lhs, phi.rhs
@@ -709,7 +710,8 @@ def _case_checks(phi, sigma, policy, J, bound, boost):
         elif premise1:
             for st in out2:
                 if isinstance(st, Pair):
-                    ask("preservation-validity", models(st, phi1, J, bound, boost), f"{st} |= {phi1}")
+                    verdict = models(st, phi1, J, bound, boost)
+                    ask("preservation-validity", verdict, lambda st=st: f"{st} |= {phi1}")
         if lemma_safe(phi2):
             both = list(sigma.store) + [phi]
             premise2 = satisfiable(both, sigma.subst, J, bound, boost)
@@ -720,7 +722,7 @@ def _case_checks(phi, sigma, policy, J, bound, boost):
                     ask(
                         "preservation-consistency",
                         satisfiable(list(st.store) + [phi], st.subst, J, bound, boost),
-                        f"sat({st.store}; {phi}) under {st.subst}",
+                        lambda st=st: f"sat({st.store}; {phi}) under {st.subst}",
                     )
     return checks, unknown
 
@@ -750,7 +752,7 @@ def check_soundness(corpus, policy, J: Algebra, bound=None) -> SoundnessReport:
             if refailing:
                 for name, _, detail in refailing:
                     report.violations.append(
-                        {"criterion": name, "formula": str(phi), "state": str(sigma), "detail": detail}
+                        {"criterion": name, "formula": str(phi), "state": str(sigma), "detail": detail()}
                     )
                 report.decided += 1
                 report.checks += len(rechecks)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .algebra import Algebra, JSubst, literal_truth
-from .syntax import And, Eq, Exists, Formula, Var, formula_to_str, free_vars, term_vars
+from .syntax import And, Eq, Exists, Formula, Var, free_vars, term_vars, write_to
 
 
 class Store:
@@ -75,10 +75,20 @@ class Store:
     def __repr__(self):
         return f"Store({list(self.items)!r})"
 
-    def __str__(self) -> str:
+    def write(self, out: list) -> None:
+        """Append the printed store to out: its formulas joined by "; ", or "{}"."""
         if not self.items:
-            return "{}"
-        return "; ".join(formula_to_str(f) for f in self.items)
+            out.append("{}")
+            return
+        for k, f in enumerate(self.items):
+            if k:
+                out.append("; ")
+            write_to(out, f)
+
+    def __str__(self) -> str:
+        out: list[str] = []
+        self.write(out)
+        return "".join(out)
 
 
 EMPTY_STORE = Store()
@@ -112,7 +122,12 @@ class Pair:
     subst: JSubst
 
     def __str__(self) -> str:
-        return f"<{self.store} | {self.subst}>"
+        out = ["<"]
+        self.store.write(out)
+        out.append(" | ")
+        self.subst.write(out)
+        out.append(">")
+        return "".join(out)
 
 
 State = object  # Pair | _ErrorState

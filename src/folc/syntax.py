@@ -16,6 +16,20 @@ Identifiers are lowercase; the signature decides whether an identifier is a
 variable, a function symbol or a relation symbol.  Names starting with `$`
 are reserved for machine-generated fresh variables and rejected in user
 input (internal re-parsing passes allow_fresh=True).
+
+A `(` where a formula may start is read in one look.  Over Herbrand it
+always opens a parenthesised formula.  In a numeric signature it opens a
+term iff its group, up to the matching `)` (or to the end of the input if
+there is none), holds no `=`, `/=`, `<`, `<=`, relation identifier, `&`,
+`|`, `~`, `false` or `exists` token, none of which a term can contain: so
+"(x + y) * z = 1" starts with a term and "(x = 1 | y = 2) & z = 3" with a
+formula.
+
+The scanner splits the text into tokens in one regular-expression pass.
+The parser reads formulas and terms by precedence climbing over explicit
+stacks (Pratt, "Top Down Operator Precedence", POPL 1973), and the printer
+walks an explicit stack too, so both read and print any nesting depth at
+the default recursion limit.
 """
 
 from __future__ import annotations
@@ -185,7 +199,7 @@ def parse_signature_decl(text: str) -> list[tuple[str, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Scanner
 
 
 class ParseError(Exception):
@@ -194,32 +208,31 @@ class ParseError(Exception):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(
-    r"\s+|(?P<number>\d+)|(?P<ident>\$?[a-z][a-z0-9_]*)"
-    r"|(?P<op><=|/=|[()=<>~&|.,+\-*/{};])"
-)
+# Splitting on the token pattern leaves the tokens at odd indices and the gaps
+# between them at even ones; a gap holding anything but whitespace holds a
+# character no token starts with.
+_TOKEN_SPLIT = re.compile(r"(\d+|\$?[a-z][a-z0-9_]*|<=|/=|[()=<>~&|.,+\-*/{};])")
 
 _KEYWORDS = ("exists", "false")
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyz$")  # the first characters of identifiers
+_TERM_PREC = {"+": 1, "-": 1, "*": 2}
+_FORMULA_TOKENS = frozenset(("=", "/=", "<", "<=", "&", "|", "~", "false", "exists"))  # never in a term
+_FORMULA_STOPS = frozenset(("(", "&", "|"))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "ident" | "op" | "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup is not None:
-            tokens.append(_Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+def _scan(text: str) -> list[str]:
+    """The tokens of text, then "" for the end of input: one regex pass."""
+    parts = _TOKEN_SPLIT.split(text)
+    gaps = "".join(parts[::2])
+    if gaps and not gaps.isspace():
+        pos = 0
+        for k, part in enumerate(parts):
+            stray = part.lstrip() if k % 2 == 0 else ""
+            if stray:
+                raise ParseError(f"unexpected character {stray[0]!r}", pos + len(part) - len(stray))
+            pos += len(part)
+    tokens = parts[1::2]
+    tokens.append("")
     return tokens
 
 
@@ -228,238 +241,285 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """One parse of one text.
+
+    Positions index the token list; the character offset of a token is
+    computed only for an error message.  Formulas and terms are each read by
+    one loop over an explicit stack (precedence climbing, after Pratt's top
+    down operator precedence), so nesting depth costs no Python recursion.
+    """
+
     def __init__(self, text: str, signature: Signature, allow_fresh: bool = False):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.sig = signature
+        self.text = text
+        self.toks = _scan(text)
+        self.functions = signature.functions
+        self.relations = signature.relations
+        self.numeric = signature.numeric
         self.allow_fresh = allow_fresh
+        self.groups = None  # formula-opening "(" indices, computed on first need
 
-    # token plumbing ------------------------------------------------------
+    def fail(self, message: str, i: int):
+        """Raise a ParseError at the character offset of token i."""
+        parts = _TOKEN_SPLIT.split(self.text)
+        raise ParseError(message, sum(map(len, parts[: 2 * i + 1])))
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def expect(self, text: str, i: int) -> None:
+        t = self.toks[i]
+        if t != text:
+            self.fail(f"expected {text!r}, found {t or 'end of input'!r}", i)
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return tok
-
-    def at_op(self, *texts: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in texts
+    def end(self, i: int, what: str) -> None:
+        t = self.toks[i]
+        if t:
+            self.fail(f"unexpected {t!r} after {what}", i)
 
     # formulas ------------------------------------------------------------
 
-    def formula(self) -> Formula:
-        f = self.disj()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r} after formula", tok.pos)
-        return f
+    def formula(self, i: int) -> tuple[Formula, int]:
+        """The formula starting at token i, and the index of the token after it."""
+        toks = self.toks
+        ops = []  # "(", "&" or "|" waiting for its right operand, "~", or an exists binder's variable
+        lefts = []  # the left operands of the "&" and "|" in ops
+        while True:
+            t = toks[i]
+            if t == "~":
+                ops.append("~")
+                i += 1
+                continue
+            if t == "exists":
+                ops.append(self.var_name(i + 1))
+                self.expect(".", i + 2)
+                i += 3
+                continue
+            if t == "(" and self.opens_formula(i):
+                ops.append("(")
+                i += 1
+                continue
+            f, i = self.atom(i)
+            while True:
+                while ops:  # the prefixes bind tighter than & and |
+                    op = ops[-1]
+                    if op == "~":
+                        f = Not(f)
+                    elif op in _FORMULA_STOPS:
+                        break
+                    else:
+                        f = Exists(op, f)
+                    ops.pop()
+                t = toks[i]
+                # Left to right, & before |: an "&" closes a pending "&", anything else both.
+                while ops and ops[-1] != "(" and (t != "&" or ops[-1] == "&"):
+                    f = And(lefts.pop(), f) if ops.pop() == "&" else Or(lefts.pop(), f)
+                if t == "&" or t == "|":
+                    lefts.append(f)
+                    ops.append(t)
+                    i += 1
+                    break
+                if not ops:
+                    return f, i
+                self.expect(")", i)
+                ops.pop()
+                i += 1
 
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.at_op("|"):
-            self.next()
-            f = Or(f, self.conj())
-        return f
+    def opens_formula(self, i: int) -> bool:
+        """Whether the "(" at token i opens a formula rather than a term.
 
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.at_op("&"):
-            self.next()
-            f = And(f, self.unary())
-        return f
+        Over Herbrand a "(" in formula position always opens a formula.  In a
+        numeric signature the group opens a term iff it holds no token a term
+        cannot contain: a relation, a connective, `false` or `exists`.
+        """
+        if self.numeric is None:
+            return True
+        if self.groups is None:
+            self.groups = self.formula_groups()
+        return i in self.groups
 
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "~":
-            self.next()
-            return Not(self.unary())
-        if tok.kind == "ident" and tok.text == "exists":
-            self.next()
-            name = self.var_name()
-            self.expect(".")
-            return Exists(name, self.unary())
-        return self.atom()
+    def formula_groups(self) -> set[int]:
+        """The indices of the "(" whose groups hold a token no term contains: one pass."""
+        rels = self.relations
+        marked = set()
+        open_ = []  # indices of the unclosed "(" so far
+        for j, t in enumerate(self.toks):
+            if t == "(":
+                open_.append(j)
+            elif t == ")":
+                if open_ and open_.pop() in marked and open_:
+                    marked.add(open_[-1])
+            elif open_ and (t in _FORMULA_TOKENS or t in rels):
+                marked.add(open_[-1])
+        for k in range(len(open_) - 1, 0, -1):  # groups left open run to the end of input
+            if open_[k] in marked:
+                marked.add(open_[k - 1])
+        return marked
 
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "false":
-            self.next()
-            return BOTTOM
-        if tok.kind == "ident" and tok.text in self.sig.relations and self._lookahead_is("("):
-            return self.relation_call(tok)
-        if tok.kind == "op" and tok.text == "(":
-            # "(" may open a parenthesised term ("(x + y) * z = 1") or a
-            # parenthesised formula; try the term reading first and backtrack.
-            mark = self.pos
-            try:
-                return self.infix_atom()
-            except ParseError:
-                self.pos = mark
-            self.next()
-            f = self.disj()
-            self.expect(")")
-            return f
-        return self.infix_atom()
-
-    def relation_call(self, tok: _Token) -> Formula:
-        name = self.next().text
-        self.expect("(")
-        args = self.term_list()
-        self.expect(")")
-        arity = self.sig.relations[name]
-        if len(args) != arity:
-            raise ParseError(f"relation {name} expects {arity} arguments, got {len(args)}", tok.pos)
-        return Atom(name, tuple(args))
-
-    def infix_atom(self) -> Formula:
-        lhs = self.term()
-        tok = self.next()
-        if tok.text == "=":
-            return Eq(lhs, self.term())
-        if tok.text == "/=":
-            return Neq(lhs, self.term())
-        if tok.text in ("<", "<="):
-            if tok.text not in self.sig.relations:
-                raise ParseError(f"relation {tok.text!r} is not available in this algebra", tok.pos)
-            return Atom(tok.text, (lhs, self.term()))
-        if tok.kind == "ident" and tok.text in self.sig.relations:
-            if self.sig.relations[tok.text] != 2:
-                raise ParseError(f"relation {tok.text} is not binary", tok.pos)
-            return Atom(tok.text, (lhs, self.term()))
-        raise ParseError(f"expected a relation, found {tok.text or 'end of input'!r}", tok.pos)
-
-    def _lookahead_is(self, text: str) -> bool:
-        nxt = self.tokens[self.pos + 1]
-        return nxt.kind == "op" and nxt.text == text
+    def atom(self, i: int) -> tuple[Formula, int]:
+        toks = self.toks
+        t = toks[i]
+        if t == "false":
+            return BOTTOM, i + 1
+        rels = self.relations
+        if t in rels and t[:1] in _IDENT_START and toks[i + 1] == "(":
+            args, j = self.term_list(i + 2)
+            self.expect(")", j)
+            if len(args) != rels[t]:
+                self.fail(f"relation {t} expects {rels[t]} arguments, got {len(args)}", i)
+            return Atom(t, tuple(args)), j + 1
+        lhs, i = self.term(i)
+        t = toks[i]
+        if t == "=":
+            rhs, j = self.term(i + 1)
+            return Eq(lhs, rhs), j
+        if t == "/=":
+            rhs, j = self.term(i + 1)
+            return Neq(lhs, rhs), j
+        if t == "<" or t == "<=":
+            if t not in rels:
+                self.fail(f"relation {t!r} is not available in this algebra", i)
+        elif t in rels and t[:1] in _IDENT_START:
+            if rels[t] != 2:
+                self.fail(f"relation {t} is not binary", i)
+        else:
+            self.fail(f"expected a relation, found {t or 'end of input'!r}", i)
+        rhs, j = self.term(i + 1)
+        return Atom(t, (lhs, rhs)), j
 
     # terms ---------------------------------------------------------------
 
-    def term(self) -> Term:
-        if self.sig.numeric is None:
-            return self.primary()
-        t = self.mult()
-        while self.at_op("+", "-"):
-            op = self.next().text
-            t = App(op, (t, self.mult()))
+    def term(self, i: int) -> tuple[Term, int]:
+        """The term starting at token i, and the index of the token after it."""
+        toks = self.toks
+        functions = self.functions
+        numeric = self.numeric is not None
+        stack = []  # "+", "-" or "*" waiting for its right operand, "(", or an open application
+        vals = []  # the left operands of the operators, and the finished arguments of the applications
+        while True:
+            t = toks[i]
+            if t[:1] in _IDENT_START:
+                if t in _KEYWORDS:
+                    self.fail(f"{t!r} is a keyword", i)
+                arity = functions.get(t)
+                if arity is None:
+                    if toks[i + 1] == "(":
+                        self.fail(f"unknown function symbol {t!r}", i)
+                    if t[0] == FRESH_PREFIX and not self.allow_fresh:
+                        self.fail(f"variable names may not start with {FRESH_PREFIX!r}", i)
+                    cur = Var(t)
+                elif arity == 0:
+                    cur = App(t, ())
+                else:
+                    self.expect("(", i + 1)
+                    stack.append((t, i, len(vals)))  # symbol, its token, its first argument in vals
+                    i += 2
+                    continue
+                i += 1
+            elif t.isdecimal():
+                cur, i = self.number(i, False)
+            elif t == "-" and toks[i + 1].isdecimal():
+                cur, i = self.number(i + 1, True)
+            elif t == "(" and numeric:
+                stack.append("(")
+                i += 1
+                continue
+            else:
+                self.fail(f"expected a term, found {t or 'end of input'!r}", i)
+            while True:
+                t = toks[i]
+                if numeric and t in _TERM_PREC:
+                    prec = _TERM_PREC[t]
+                    while stack and _TERM_PREC.get(stack[-1], 0) >= prec:
+                        cur = App(stack.pop(), (vals.pop(), cur))
+                    vals.append(cur)
+                    stack.append(t)
+                    i += 1
+                    break
+                while stack and stack[-1] in _TERM_PREC:
+                    cur = App(stack.pop(), (vals.pop(), cur))
+                if not stack:
+                    return cur, i
+                if stack[-1] == "(":
+                    self.expect(")", i)
+                    stack.pop()
+                    i += 1
+                    continue
+                vals.append(cur)
+                if t == ",":
+                    i += 1
+                    break
+                self.expect(")", i)
+                name, at, first = stack.pop()
+                args = tuple(vals[first:])
+                del vals[first:]
+                if len(args) != functions[name]:
+                    self.fail(f"{name} expects {functions[name]} arguments, got {len(args)}", at)
+                cur = App(name, args)
+                i += 1
+
+    def number(self, i: int, negative: bool) -> tuple[Term, int]:
+        toks = self.toks
+        if self.numeric is None:
+            self.fail("numeric literals require an arithmetic algebra", i)
+        num = -int(toks[i]) if negative else int(toks[i])
+        if self.numeric == "rat":
+            if toks[i + 1] == "/":
+                den = toks[i + 2]
+                if not den.isdecimal():
+                    self.fail("expected a denominator", i + 2)
+                if int(den) == 0:
+                    self.fail("zero denominator", i + 2)
+                return Val(Fraction(num, int(den))), i + 3
+            return Val(Fraction(num)), i + 1
+        return Val(num), i + 1
+
+    def term_list(self, i: int) -> tuple[list[Term], int]:
+        args = []
+        while True:
+            t, i = self.term(i)
+            args.append(t)
+            if self.toks[i] != ",":
+                return args, i
+            i += 1
+
+    def var_name(self, i: int) -> str:
+        t = self.toks[i]
+        if t[:1] not in _IDENT_START or t in _KEYWORDS:
+            self.fail(f"expected a variable name, found {t!r}", i)
+        if t in self.functions or t in self.relations:
+            self.fail(f"{t!r} is a declared symbol, not a variable", i)
+        if t[0] == FRESH_PREFIX and not self.allow_fresh:
+            self.fail(f"variable names may not start with {FRESH_PREFIX!r}", i)
         return t
-
-    def mult(self) -> Term:
-        t = self.primary()
-        while self.at_op("*"):
-            self.next()
-            t = App("*", (t, self.primary()))
-        return t
-
-    def primary(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "number":
-            return self.number(negative=False)
-        if tok.kind == "op" and tok.text == "-" and self.tokens[self.pos + 1].kind == "number":
-            self.next()
-            return self.number(negative=True)
-        if tok.kind == "op" and tok.text == "(" and self.sig.numeric is not None:
-            self.next()
-            t = self.term()
-            self.expect(")")
-            return t
-        if tok.kind == "ident":
-            return self.ident_term()
-        raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
-
-    def number(self, negative: bool) -> Term:
-        tok = self.next()
-        if self.sig.numeric is None:
-            raise ParseError("numeric literals require an arithmetic algebra", tok.pos)
-        num = -int(tok.text) if negative else int(tok.text)
-        if self.sig.numeric == "rat":
-            if self.at_op("/"):
-                self.next()
-                den = self.next()
-                if den.kind != "number":
-                    raise ParseError("expected a denominator", den.pos)
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.pos)
-                return Val(Fraction(num, int(den.text)))
-            return Val(Fraction(num))
-        return Val(num)
-
-    def ident_term(self) -> Term:
-        tok = self.next()
-        name = tok.text
-        if name in _KEYWORDS:
-            raise ParseError(f"{name!r} is a keyword", tok.pos)
-        if name in self.sig.functions:
-            arity = self.sig.functions[name]
-            if arity == 0:
-                return App(name, ())
-            self.expect("(")
-            args = self.term_list()
-            self.expect(")")
-            if len(args) != arity:
-                raise ParseError(f"{name} expects {arity} arguments, got {len(args)}", tok.pos)
-            return App(name, tuple(args))
-        if self.at_op("("):
-            raise ParseError(f"unknown function symbol {name!r}", tok.pos)
-        if name.startswith(FRESH_PREFIX) and not self.allow_fresh:
-            raise ParseError(f"variable names may not start with {FRESH_PREFIX!r}", tok.pos)
-        return Var(name)
-
-    def var_name(self) -> str:
-        tok = self.next()
-        if tok.kind != "ident" or tok.text in _KEYWORDS:
-            raise ParseError(f"expected a variable name, found {tok.text!r}", tok.pos)
-        if tok.text in self.sig.functions or tok.text in self.sig.relations:
-            raise ParseError(f"{tok.text!r} is a declared symbol, not a variable", tok.pos)
-        if tok.text.startswith(FRESH_PREFIX) and not self.allow_fresh:
-            raise ParseError(f"variable names may not start with {FRESH_PREFIX!r}", tok.pos)
-        return tok.text
-
-    def term_list(self) -> list[Term]:
-        args = [self.term()]
-        while self.at_op(","):
-            self.next()
-            args.append(self.term())
-        return args
 
     # substitutions -------------------------------------------------------
 
     def substitution(self) -> list[tuple[str, Term]]:
-        self.expect("{")
+        self.expect("{", 0)
+        i = 1
         pairs: list[tuple[str, Term]] = []
-        if not self.at_op("}"):
+        if self.toks[i] != "}":
             while True:
-                name = self.var_name()
-                self.expect("/")
-                pairs.append((name, self.term()))
-                if not self.at_op(","):
+                name = self.var_name(i)
+                self.expect("/", i + 1)
+                t, i = self.term(i + 2)
+                pairs.append((name, t))
+                if self.toks[i] != ",":
                     break
-                self.next()
-        self.expect("}")
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r} after substitution", tok.pos)
+                i += 1
+        self.expect("}", i)
+        self.end(i + 1, "substitution")
         return pairs
 
 
 def parse_formula(text: str, signature: Signature, allow_fresh: bool = False) -> Formula:
-    return _Parser(text, signature, allow_fresh).formula()
+    p = _Parser(text, signature, allow_fresh)
+    f, i = p.formula(0)
+    p.end(i, "formula")
+    return f
 
 
 def parse_term(text: str, signature: Signature, allow_fresh: bool = False) -> Term:
     p = _Parser(text, signature, allow_fresh)
-    t = p.term()
-    tok = p.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected {tok.text!r} after term", tok.pos)
+    t, i = p.term(0)
+    p.end(i, "term")
     return t
 
 
@@ -471,11 +531,6 @@ def parse_substitution_pairs(text: str, signature: Signature, allow_fresh: bool 
 # ---------------------------------------------------------------------------
 # Printer
 
-_ATOM_PREC = 4
-_UNARY_PREC = 3
-_AND_PREC = 2
-_OR_PREC = 1
-
 
 def format_value(v) -> str:
     if isinstance(v, Fraction) and v.denominator == 1:
@@ -484,59 +539,136 @@ def format_value(v) -> str:
 
 
 def term_to_str(t: Term) -> str:
-    return _term_str(t, 1)
-
-
-def _term_str(t: Term, min_prec: int) -> str:
-    if isinstance(t, Var):
+    cls = type(t)
+    if cls is Var:
         return t.name
-    if isinstance(t, Val):
+    if cls is Val:
         return format_value(t.value)
-    if t.symbol in ("+", "-"):
-        s = f"{_term_str(t.args[0], 1)} {t.symbol} {_term_str(t.args[1], 2)}"
-        return f"({s})" if min_prec > 1 else s
-    if t.symbol == "*":
-        s = f"{_term_str(t.args[0], 2)} * {_term_str(t.args[1], 3)}"
-        return f"({s})" if min_prec > 2 else s
-    if not t.args:
-        return t.symbol
-    return f"{t.symbol}({', '.join(_term_str(a, 1) for a in t.args)})"
-
-
-_INFIX_RELS = ("=", "/=", "<", "<=")
+    out: list[str] = []
+    write_to(out, t)
+    return "".join(out)
 
 
 def formula_to_str(f: Formula) -> str:
-    return _formula_str(f, 0)
+    out: list[str] = []
+    write_to(out, f)
+    return "".join(out)
 
 
-def _formula_str(f: Formula, min_prec: int) -> str:
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Eq):
-        return f"{term_to_str(f.lhs)} = {term_to_str(f.rhs)}"
-    if isinstance(f, Neq):
-        return f"{term_to_str(f.lhs)} /= {term_to_str(f.rhs)}"
-    if isinstance(f, Atom):
-        if f.rel in _INFIX_RELS and len(f.args) == 2:
-            return f"{term_to_str(f.args[0])} {f.rel} {term_to_str(f.args[1])}"
-        return f"{f.rel}({', '.join(term_to_str(a) for a in f.args)})"
-    if isinstance(f, Not):
-        if isinstance(f.body, (Not, Exists)):
-            return f"~{_formula_str(f.body, _UNARY_PREC)}"
-        return f"~({_formula_str(f.body, 0)})"
-    if isinstance(f, Exists):
-        body = _formula_str(f.body, _UNARY_PREC)
-        if isinstance(f.body, (And, Or)):
-            body = f"({_formula_str(f.body, 0)})"
-        return f"exists {f.var}. {body}"
-    if isinstance(f, And):
-        s = f"{_formula_str(f.lhs, _AND_PREC)} & {_formula_str(f.rhs, _AND_PREC + 1)}"
-        return f"({s})" if min_prec > _AND_PREC else s
-    if isinstance(f, Or):
-        s = f"{_formula_str(f.lhs, _OR_PREC)} | {_formula_str(f.rhs, _OR_PREC + 1)}"
-        return f"({s})" if min_prec > _OR_PREC else s
-    raise TypeError(f"not a formula: {f!r}")
+_ADDITIVE = ("+", "-")
+_INFIX_RELS = ("=", "/=", "<", "<=")
+
+
+def write_to(out: list, x) -> None:
+    """Append the printed text of term or formula x to out, in pieces.
+
+    One loop over an explicit stack of pending nodes and string pieces.  Each
+    node decides whether its operands need parentheses, so no precedence
+    travels down: a right operand of `-` that is a sum or difference, an
+    operand of `*` that is one (or a right operand that is a product), an
+    `|` right of `&` or left of it, an `&` right of `&`, and an `|` right of
+    `|`.  `~` and `exists` parenthesise a body that is neither a literal nor
+    a prefix formula.
+    """
+    cls = type(x)
+    if cls is Var:
+        out.append(x.name)
+        return
+    if cls is Val:
+        out.append(format_value(x.value))
+        return
+    put = out.append
+    stack = [x]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        x = pop()
+        cls = type(x)
+        if cls is str:
+            put(x)
+        elif cls is Var:
+            put(x.name)
+        elif cls is Val:
+            put(format_value(x.value))
+        elif cls is App:
+            sym, args = x.symbol, x.args
+            if sym in _ADDITIVE or sym == "*":
+                a, b = args[0], args[1]
+                if type(b) is App and (b.symbol in _ADDITIVE or sym == "*" and b.symbol == "*"):
+                    push(")")
+                    push(b)
+                    push(f" {sym} (")
+                else:
+                    push(b)
+                    push(f" {sym} ")
+                if sym == "*" and type(a) is App and a.symbol in _ADDITIVE:
+                    push(")")
+                    push(a)
+                    put("(")
+                else:
+                    push(a)
+            elif not args:
+                put(sym)
+            else:
+                put(sym + "(")
+                push(")")
+                for k in range(len(args) - 1, 0, -1):
+                    push(args[k])
+                    push(", ")
+                push(args[0])
+        elif cls is Eq or cls is Neq:
+            push(x.rhs)
+            push(" = " if cls is Eq else " /= ")
+            push(x.lhs)
+        elif cls is Atom:
+            args = x.args
+            if x.rel in _INFIX_RELS and len(args) == 2:
+                push(args[1])
+                push(f" {x.rel} ")
+                push(args[0])
+            else:
+                put(x.rel + "(")
+                push(")")
+                for k in range(len(args) - 1, 0, -1):
+                    push(args[k])
+                    push(", ")
+                push(args[0])
+        elif cls is And or cls is Or:
+            lhs, rhs = x.lhs, x.rhs
+            r = type(rhs)
+            if r is Or or cls is And and r is And:
+                push(")")
+                push(rhs)
+                push(" & (" if cls is And else " | (")
+            else:
+                push(rhs)
+                push(" & " if cls is And else " | ")
+            if cls is And and type(lhs) is Or:
+                push(")")
+                push(lhs)
+                put("(")
+            else:
+                push(lhs)
+        elif cls is Not:
+            b = type(x.body)
+            if b is Not or b is Exists:
+                put("~")
+            else:
+                put("~(")
+                push(")")
+            push(x.body)
+        elif cls is Exists:
+            b = type(x.body)
+            if b is And or b is Or:
+                put(f"exists {x.var}. (")
+                push(")")
+            else:
+                put(f"exists {x.var}. ")
+            push(x.body)
+        elif cls is Bottom:
+            put("false")
+        else:
+            raise TypeError(f"not a formula: {x!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import pytest
 from fractions import Fraction
 
@@ -32,10 +33,14 @@ def herb():
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
+#
+# Each function is cached: it returns one strategy object per argument list,
+# so Hypothesis does not build a new st.recursive on every call and draw.
 
 names = st.sampled_from(VARS)
 
 
+@functools.cache
 def int_terms():
     leaves = st.one_of(
         names.map(Var),
@@ -50,6 +55,7 @@ def int_terms():
     )
 
 
+@functools.cache
 def rat_terms():
     fractions = st.builds(
         Fraction,
@@ -66,6 +72,7 @@ def rat_terms():
     )
 
 
+@functools.cache
 def herb_terms(max_leaves=5):
     leaves = st.one_of(
         names.map(Var),
@@ -81,6 +88,7 @@ def herb_terms(max_leaves=5):
     return st.recursive(leaves, build, max_leaves=max_leaves)
 
 
+@functools.cache
 def formulas(terms, arith: bool):
     atom_choices = [
         st.tuples(terms, terms).map(lambda p: Eq(*p)),
@@ -106,13 +114,16 @@ def formulas(terms, arith: bool):
     return st.recursive(atoms, build, max_leaves=6)
 
 
+@functools.cache
 def int_formulas():
     return formulas(int_terms(), arith=True)
 
 
+@functools.cache
 def rat_formulas():
     return formulas(rat_terms(), arith=True)
 
 
+@functools.cache
 def herb_formulas():
     return formulas(herb_terms(), arith=False)

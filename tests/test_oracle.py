@@ -467,6 +467,40 @@ class TestCheckSoundness:
         assert set(d) >= {"cases", "passed", "skipped_unknown", "violations"}
         assert report.passed
 
+    def test_violation_details(self, int_alg, monkeypatch):
+        """Each kind of failing check names its own state and the formula, as it always has."""
+        F_ = lambda text: F(text, int_alg)
+        right = pair((), parse_subst("{x/1, y/1}", int_alg))
+        wrong = (pair([F_("y < x")], parse_subst("{x/2}", int_alg)), right)
+        answers = {
+            "x = 1 & y = 1": wrong,
+            "y = 1": wrong,
+            "~(z = 1) & x = x": (),
+            "x = x": (pair((), parse_subst("{z/1}", int_alg)),),
+        }
+        monkeypatch.setattr("folc.oracle.evaluate", lambda phi, sigma, ctx: answers[str(phi)])
+        corpus = [
+            (F_("x = 1 & y = 1"), pair((), EMPTY_SUBST)),
+            (F_("~(z = 1) & x = x"), pair((), parse_subst("{z/2}", int_alg))),
+        ]
+        report = check_soundness(corpus, get_policy("atoms"), int_alg, B)
+        assert [(v["criterion"], v["detail"]) for v in report.violations] == [
+            ("soundness-satisfaction", "<y < x | {x/2}> |= x = 1 & y = 1"),
+            ("preservation-consistency", "sat(y < x; x = 1 & y = 1) under {x/2}"),
+            ("soundness-refutation", "<{} | {z/2}> |= ~(~(z = 1) & x = x)"),
+            ("preservation-validity", "<{} | {z/1}> |= ~(z = 1)"),
+            ("preservation-consistency", "sat({}; ~(z = 1) & x = x) under {z/1}"),
+        ]
+        assert [(v["formula"], v["state"]) for v in report.violations[2:]] == [("~(z = 1) & x = x", "<{} | {z/2}>")] * 3
+
+    def test_passing_checks_print_no_state(self, int_alg, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a passing check printed a state")
+
+        monkeypatch.setattr(Pair, "__str__", refuse)
+        corpus = [(F("y = z - 1 & z = x + 2", int_alg), pair((), EMPTY_SUBST))]
+        assert check_soundness(corpus, get_policy("atoms"), int_alg, B).passed
+
 
 class TestLemmaFragment:
     def test_lemma_safe_predicate(self, int_alg):

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import given
 
-from folc.algebra import EMPTY_SUBST, parse_subst
+from folc.algebra import EMPTY_SUBST, JSubst, parse_subst
 from folc.corpus import gen_formula
 from folc.infer import get_policy
 from folc.oracle import IntervalBound, models
@@ -182,6 +182,8 @@ class TestFreshNames:
             raise AssertionError("printed with no trace sink attached")
 
         monkeypatch.setattr(Pair, "__str__", refuse)
+        monkeypatch.setattr(Store, "write", refuse)
+        monkeypatch.setattr(JSubst, "write", refuse)
         monkeypatch.setattr(syntax, "formula_to_str", refuse)
         out = run("y < z & y = 1 & z = 2", int_alg, policy="atoms")
         assert out == (pair((), parse_subst("{y/1, z/2}", int_alg)),)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+from folc import syntax
 from folc.syntax import (
     And,
     App,
@@ -14,12 +15,15 @@ from folc.syntax import (
     Not,
     Or,
     ParseError,
+    Signature,
     Val,
     Var,
     formula_to_str,
     free_vars,
     parse_formula,
     parse_signature_decl,
+    parse_substitution_pairs,
+    parse_term,
     rename_free,
     term_to_str,
 )
@@ -104,6 +108,53 @@ class TestParseErrors:
         assert parse_signature_decl("f/1, g/2,a/0") == [("f", 1), ("g", 2), ("a", 0)]
         with pytest.raises(ParseError):
             parse_signature_decl("F/1")
+
+
+# One input per ParseError raised in folc.syntax, with the message and
+# position it has printed since before the parser became precedence climbing.
+_RELATIONS = Signature([("f", 1), ("a", 0)], [("p", 2), ("q", 1)])
+_ERROR_SITES = [
+    ("decl", None, "f/1, F/2", "bad signature entry 'F/2' (at position 5)"),
+    ("decl", None, "a/0,exists/1", "signature entry 'exists/1': 'exists' is a keyword (at position 4)"),
+    ("decl", None, "a/0, a/1", "signature entry 'a/1': 'a' is already declared (at position 5)"),
+    ("formula", "int", "x = 1 @ y", "unexpected character '@' (at position 6)"),
+    ("formula", "int", "(x = 1", "expected ')', found 'end of input' (at position 6)"),
+    ("formula", "int", "exists x x = 1", "expected '.', found 'x' (at position 9)"),
+    ("formula", "herbrand", "f = a", "expected '(', found '=' (at position 2)"),
+    ("subst", "int", "{x = 1}", "expected '/', found '=' (at position 3)"),
+    ("subst", "int", "x/1", "expected '{', found 'x' (at position 0)"),
+    ("subst", "int", "{x/1", "expected '}', found 'end of input' (at position 4)"),
+    ("formula", "int", "x = 1 )", "unexpected ')' after formula (at position 6)"),
+    ("formula", "relations", "p(x) & q(a)", "relation p expects 2 arguments, got 1 (at position 0)"),
+    ("formula", "herbrand", "x < y", "relation '<' is not available in this algebra (at position 2)"),
+    ("formula", "relations", "x q y", "relation q is not binary (at position 2)"),
+    ("formula", "int", "x + 1", "expected a relation, found 'end of input' (at position 5)"),
+    ("formula", "int", "x = )", "expected a term, found ')' (at position 4)"),
+    ("formula", "herbrand", "x = 1", "numeric literals require an arithmetic algebra (at position 4)"),
+    ("formula", "rat", "x = 1/y", "expected a denominator (at position 6)"),
+    ("formula", "rat", "x = 1/0", "zero denominator (at position 6)"),
+    ("formula", "int", "x = false", "'false' is a keyword (at position 4)"),
+    ("formula", "herbrand", "f(x, y) = a", "f expects 1 arguments, got 2 (at position 0)"),
+    ("formula", "int", "h(x) = 1", "unknown function symbol 'h' (at position 0)"),
+    ("formula", "int", "$u1 = 1", "variable names may not start with '$' (at position 0)"),
+    ("formula", "int", "exists 1. x = 1", "expected a variable name, found '1' (at position 7)"),
+    ("formula", "herbrand", "exists a. x = a", "'a' is a declared symbol, not a variable (at position 7)"),
+    ("formula", "int", "exists $u1. x = 1", "variable names may not start with '$' (at position 7)"),
+    ("subst", "int", "{x/1} y", "unexpected 'y' after substitution (at position 6)"),
+    ("term", "int", "x y", "unexpected 'y' after term (at position 2)"),
+]
+
+
+@pytest.mark.parametrize("kind, algebra, text, message", _ERROR_SITES)
+def test_parse_error_messages_are_pinned(kind, algebra, text, message, int_alg, rat_alg, herb):
+    with pytest.raises(ParseError) as err:
+        if kind == "decl":
+            parse_signature_decl(text)
+        else:
+            signatures = {"int": int_alg, "rat": rat_alg, "herbrand": herb}
+            signature = _RELATIONS if algebra == "relations" else signatures[algebra].signature
+            {"formula": parse_formula, "term": parse_term, "subst": parse_substitution_pairs}[kind](text, signature)
+    assert str(err.value) == message
 
 
 class TestFreeVars:
@@ -211,3 +262,85 @@ class TestCachedHash:
         assert repr(t) == before
         assert before == "App(symbol='f', args=(App(symbol='g', args=(Var(name='x'), App(symbol='a', args=()))),))"
         assert [f.name for f in dataclasses.fields(App)] == ["symbol", "args"]
+
+
+def _same_tree(a, b) -> bool:
+    """== on syntax trees by an explicit-stack walk; the dataclass == recurses."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, tuple):
+            if len(a) != len(b):
+                return False
+            stack.extend(zip(a, b))
+        elif dataclasses.is_dataclass(a):
+            stack.extend((getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+        elif a != b:
+            return False
+    return True
+
+
+class TestDeepInputs:
+    """The parser and printer take no Python frame per level: these run at the default recursion limit."""
+
+    def round_trip(self, text, signature):
+        f = parse_formula(text, signature)
+        printed = formula_to_str(f)
+        assert _same_tree(parse_formula(printed, signature), f)
+        return f, printed
+
+    def test_long_conjunction(self, int_alg):
+        text = " & ".join(f"x_{i} = {i}" for i in range(5000))
+        f, printed = self.round_trip(text, int_alg.signature)
+        assert printed == text
+        assert isinstance(f, And) and f.rhs == Eq(Var("x_4999"), Val(4999))
+
+    def test_nested_negations(self, int_alg):
+        f, printed = self.round_trip("~" * 5000 + "x = 1", int_alg.signature)
+        assert printed == "~" * 4999 + "~(x = 1)"
+
+    def test_nested_parentheses(self, int_alg, herb):
+        for signature in (int_alg.signature, herb.signature):
+            assert parse_formula("(" * 400 + "x = y" + ")" * 400, signature) == Eq(x, y)
+        assert parse_formula("(" * 400 + "x" + ")" * 400 + " = 1", int_alg.signature) == Eq(x, Val(1))
+
+    def test_deep_term(self, herb):
+        text = "f(" * 8000 + "x" + ")" * 8000
+        t = parse_term(text, herb.signature)
+        assert term_to_str(t) == text
+        assert _same_tree(parse_term(term_to_str(t), herb.signature), t)
+        f, printed = self.round_trip(f"{text} = a", herb.signature)
+        assert printed == f"{text} = a"
+
+
+class _CountedTokens(list):
+    """A token list that counts the reads the parser makes of it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for t in super().__iter__():
+            self.reads += 1
+            yield t
+
+
+@pytest.mark.parametrize("shape", ["{}x = 1{}", "{}x{} = 1"], ids=["formula", "term"])
+def test_nested_parentheses_parse_in_linear_steps(monkeypatch, int_alg, shape):
+    """Each "(" is read as a term or a formula at once; trying one and backtracking was quadratic."""
+    scan = syntax._scan
+    scanned = []
+    monkeypatch.setattr(syntax, "_scan", lambda text: scanned.append(_CountedTokens(scan(text))) or scanned[-1])
+
+    def reads(n):
+        scanned.clear()
+        parse_formula(shape.format("(" * n, ")" * n), int_alg.signature)
+        return scanned[0].reads
+
+    small, large = reads(200), reads(400)
+    assert large <= 2.5 * small, (small, large)
