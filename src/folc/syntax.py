@@ -544,6 +544,8 @@ def term_to_str(t: Term) -> str:
         return t.name
     if cls is Val:
         return format_value(t.value)
+    if cls is App and not t.args:
+        return t.symbol
     out: list[str] = []
     write_to(out, t)
     return "".join(out)
@@ -564,11 +566,13 @@ def write_to(out: list, x) -> None:
 
     One loop over an explicit stack of pending nodes and string pieces.  Each
     node decides whether its operands need parentheses, so no precedence
-    travels down: a right operand of `-` that is a sum or difference, an
-    operand of `*` that is one (or a right operand that is a product), an
-    `|` right of `&` or left of it, an `&` right of `&`, and an `|` right of
-    `|`.  `~` and `exists` parenthesise a body that is neither a literal nor
-    a prefix formula.
+    travels down.  Parenthesised are: a sum or difference right of `+` or
+    `-`, or on either side of `*`; a product right of `*`; an `|` on either
+    side of `&`; an `&` right of `&`; an `|` right of `|`; the body of `~`
+    unless it is a `~` or `exists` formula; the body of `exists` if it is an
+    `&` or `|`.  A chain of unary applications, such as the `f(f(...(x)))`
+    values of a unification chain, is opened in one step and closed by one
+    piece.
     """
     cls = type(x)
     if cls is Var:
@@ -576,6 +580,9 @@ def write_to(out: list, x) -> None:
         return
     if cls is Val:
         out.append(format_value(x.value))
+        return
+    if cls is App and not x.args:
+        out.append(x.symbol)
         return
     put = out.append
     stack = [x]
@@ -609,6 +616,16 @@ def write_to(out: list, x) -> None:
                     push(a)
             elif not args:
                 put(sym)
+            elif len(args) == 1:  # f(g(h(...))): open a whole chain of unary applications at once
+                put(sym + "(")
+                depth = 1
+                x = args[0]
+                while type(x) is App and len(x.args) == 1:
+                    put(x.symbol + "(")
+                    depth += 1
+                    x = x.args[0]
+                push(")" * depth)
+                push(x)
             else:
                 put(sym + "(")
                 push(")")
