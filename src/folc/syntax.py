@@ -21,9 +21,8 @@ A `(` where a formula may start is read in one look.  Over Herbrand it
 always opens a parenthesised formula.  In a numeric signature it opens a
 term iff its group, up to the matching `)` (or to the end of the input if
 there is none), holds no `=`, `/=`, `<`, `<=`, relation identifier, `&`,
-`|`, `~`, `false` or `exists` token, none of which a term can contain: so
-"(x + y) * z = 1" starts with a term and "(x = 1 | y = 2) & z = 3" with a
-formula.
+`|`, `~`, `false` or `exists` token.  So "(x + y) * z = 1" starts with a
+term and "(x = 1 | y = 2) & z = 3" with a formula.
 
 The scanner splits the text into tokens in one regular-expression pass.
 The parser reads formulas and terms by precedence climbing over explicit
@@ -216,7 +215,8 @@ _TOKEN_SPLIT = re.compile(r"(\d+|\$?[a-z][a-z0-9_]*|<=|/=|[()=<>~&|.,+\-*/{};])"
 _KEYWORDS = ("exists", "false")
 _IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyz$")  # the first characters of identifiers
 _TERM_PREC = {"+": 1, "-": 1, "*": 2}
-_FORMULA_TOKENS = frozenset(("=", "/=", "<", "<=", "&", "|", "~", "false", "exists"))  # never in a term
+# With the relation identifiers, the tokens whose group opens a formula.
+_FORMULA_TOKENS = frozenset(("=", "/=", "<", "<=", "&", "|", "~", "false", "exists"))
 _FORMULA_STOPS = frozenset(("(", "&", "|"))
 
 
@@ -325,8 +325,8 @@ class _Parser:
         """Whether the "(" at token i opens a formula rather than a term.
 
         Over Herbrand a "(" in formula position always opens a formula.  In a
-        numeric signature the group opens a term iff it holds no token a term
-        cannot contain: a relation, a connective, `false` or `exists`.
+        numeric signature the group opens a term iff it holds no relation,
+        connective, `false` or `exists` token.
         """
         if self.numeric is None:
             return True
@@ -335,7 +335,7 @@ class _Parser:
         return i in self.groups
 
     def formula_groups(self) -> set[int]:
-        """The indices of the "(" whose groups hold a token no term contains: one pass."""
+        """The indices of the "(" whose groups hold a relation, connective, `false` or `exists`: one pass."""
         rels = self.relations
         marked = set()
         open_ = []  # indices of the unclosed "(" so far

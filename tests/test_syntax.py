@@ -153,7 +153,8 @@ def test_parse_error_messages_are_pinned(kind, algebra, text, message, int_alg, 
         else:
             signatures = {"int": int_alg, "rat": rat_alg, "herbrand": herb}
             signature = _RELATIONS if algebra == "relations" else signatures[algebra].signature
-            {"formula": parse_formula, "term": parse_term, "subst": parse_substitution_pairs}[kind](text, signature)
+            parse = {"formula": parse_formula, "term": parse_term, "subst": parse_substitution_pairs}[kind]
+            parse(text, signature)
     assert str(err.value) == message
 
 
@@ -335,7 +336,11 @@ def test_nested_parentheses_parse_in_linear_steps(monkeypatch, int_alg, shape):
     """Each "(" is read as a term or a formula at once; trying one and backtracking was quadratic."""
     scan = syntax._scan
     scanned = []
-    monkeypatch.setattr(syntax, "_scan", lambda text: scanned.append(_CountedTokens(scan(text))) or scanned[-1])
+    def counted_scan(text):
+        scanned.append(_CountedTokens(scan(text)))
+        return scanned[-1]
+
+    monkeypatch.setattr(syntax, "_scan", counted_scan)
 
     def reads(n):
         scanned.clear()
