@@ -1,11 +1,16 @@
-"""Algebras, generalized-term evaluation, J-substitutions and atom truth."""
+"""Algebras, generalized-term evaluation, J-substitutions and atom truth.
+
+An algebra J interprets a signature by two tables, one operation per
+function symbol and one predicate per relation symbol; every evaluation
+below is a lookup in them.
+"""
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, partial
+from operator import add, eq, itemgetter, le, lt, mul, ne, sub
 
 from .syntax import (
     App,
@@ -27,18 +32,20 @@ from .syntax import (
 
 
 class Algebra:
-    """A carrier with function evaluation and relation truth.
+    """A signature with an interpretation: two tables from symbols to operations.
 
-    For the arithmetic algebras the carrier elements are Python ints or
+    functions maps each function symbol to a callable on carrier elements,
+    relations each relation symbol, = and /= included, to a predicate.  For
+    the arithmetic algebras the carrier elements are Python ints or
     Fractions carried in Val leaves; for Herbrand the carrier is the set of
-    ground terms and function evaluation is term construction itself.
+    ground terms and each constructor builds its own App.
     """
 
-    def __init__(self, name, signature, eval_fn, rel_truth):
+    def __init__(self, name, signature, functions, relations):
         self.name = name
         self.signature = signature
-        self.eval_fn = eval_fn
-        self.rel_truth = rel_truth
+        self.functions = functions
+        self.relations = relations
 
     @property
     def numeric(self):
@@ -48,41 +55,26 @@ class Algebra:
         return f"Algebra({self.name})"
 
 
-_ARITH_FUNCTIONS = {"+": 2, "-": 2, "*": 2}
-_ARITH_RELATIONS = {"<": 2, "<=": 2}
-
-_COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "/=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-}
+_ARITH_FUNCTIONS = {"+": add, "-": sub, "*": mul}
+_ARITH_RELATIONS = {"=": eq, "/=": ne, "<": lt, "<=": le}
 
 
-def _arith_eval(symbol, args):
-    a, b = args
-    if symbol == "+":
-        return a + b
-    if symbol == "-":
-        return a - b
-    if symbol == "*":
-        return a * b
-    raise ValueError(f"unknown function symbol {symbol!r}")
-
-
-def _arith_rel(rel, args):
-    return _COMPARATORS[rel](args[0], args[1])
+def _arith_algebra(numeric) -> Algebra:
+    sig = Signature(dict.fromkeys(_ARITH_FUNCTIONS, 2), {"<": 2, "<=": 2}, numeric=numeric)
+    return Algebra(numeric, sig, _ARITH_FUNCTIONS, _ARITH_RELATIONS)
 
 
 def int_algebra() -> Algebra:
-    sig = Signature(_ARITH_FUNCTIONS, _ARITH_RELATIONS, numeric="int")
-    return Algebra("int", sig, _arith_eval, _arith_rel)
+    return _arith_algebra("int")
 
 
 def rat_algebra() -> Algebra:
     """Exact rationals; the "reals" of the Gaussian-elimination policy."""
-    sig = Signature(_ARITH_FUNCTIONS, _ARITH_RELATIONS, numeric="rat")
-    return Algebra("rat", sig, _arith_eval, _arith_rel)
+    return _arith_algebra("rat")
+
+
+def _construct(symbol, *args):
+    return App(symbol, args)
 
 
 def herbrand_algebra(constructors) -> Algebra:
@@ -93,18 +85,8 @@ def herbrand_algebra(constructors) -> Algebra:
     sig = Signature(constructors, (), numeric=None)
     if 0 not in sig.functions.values():
         raise ValueError("--sig declares no constant, so the Herbrand universe is empty")
-
-    def eval_fn(symbol, args):
-        return App(symbol, tuple(args))
-
-    def rel_truth(rel, args):
-        if rel == "=":
-            return args[0] == args[1]
-        if rel == "/=":
-            return args[0] != args[1]
-        raise ValueError(f"Herbrand defines only = and /=, not {rel!r}")
-
-    return Algebra("herbrand", sig, eval_fn, rel_truth)
+    functions = {name: partial(_construct, name) for name in sig.functions}
+    return Algebra("herbrand", sig, functions, {"=": eq, "/=": ne})
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +129,7 @@ def _j_eval_app(t: App, J: Algebra, memo: dict) -> Term:
         ground = ground and isinstance(b, Val)
         args.append(b)
     if ground:
-        out = Val(J.eval_fn(t.symbol, [b.value for b in args]))
+        out = Val(J.functions[t.symbol](*[b.value for b in args]))
     else:
         out = App(t.symbol, tuple(args)) if changed else t
     memo[id(t)] = out
@@ -161,7 +143,7 @@ def eval_ground(t: Term, J: Algebra):
     if isinstance(t, Val):
         return t.value
     if isinstance(t, App):
-        return J.eval_fn(t.symbol, [eval_ground(a, J) for a in t.args])
+        return J.functions[t.symbol](*[eval_ground(a, J) for a in t.args])
     raise ValueError(f"not ground: {t!r}")
 
 
@@ -370,7 +352,7 @@ def atom_truth(atom, theta: JSubst, J: Algebra):
     applied = [apply_subst(a, theta) for a in args]
     if not all(term_is_ground(a) for a in applied):
         return None
-    return J.rel_truth(rel, [eval_ground(a, J) for a in applied])
+    return J.relations[rel](*[eval_ground(a, J) for a in applied])
 
 
 def literal_truth(f, theta: JSubst, J: Algebra):

@@ -323,19 +323,19 @@ def _compile_term(t: Term, J: Algebra):
     if isinstance(t, Val):
         value = t.value
         return (lambda env: value), True
-    fn, symbol = J.eval_fn, t.symbol
+    fn = J.functions[t.symbol]
     args = [_compile_term(a, J) for a in t.args]
     if all(ground for _, ground in args):
-        value = fn(symbol, [a(None) for a, _ in args])
+        value = fn(*[a(None) for a, _ in args])
         return (lambda env: value), True
     if len(args) == 2:
         (a, _), (b, b_ground) = args
         if b_ground:  # x + 1: the constant is captured, not called
             value = b(None)
-            return (lambda env: fn(symbol, (a(env), value))), False
-        return (lambda env: fn(symbol, (a(env), b(env)))), False
+            return (lambda env: fn(a(env), value)), False
+        return (lambda env: fn(a(env), b(env))), False
     args = [a for a, _ in args]
-    return (lambda env: fn(symbol, [a(env) for a in args])), False
+    return (lambda env: fn(*[a(env) for a in args])), False
 
 
 def _compile(f: Formula, J: Algebra, qcands: list):
@@ -346,9 +346,9 @@ def _compile(f: Formula, J: Algebra, qcands: list):
             return lambda env: lhs(env) == rhs(env)
         return lambda env: lhs(env) != rhs(env)
     if isinstance(f, Atom):
-        truth, rel = J.rel_truth, f.rel
+        truth = J.relations[f.rel]
         (a, _), (b, _) = (_compile_term(t, J) for t in f.args)  # the guard admits binary atoms only
-        return lambda env: truth(rel, (a(env), b(env)))
+        return lambda env: truth(a(env), b(env))
     if isinstance(f, Not):
         body = _compile(f.body, J, qcands)
         return lambda env: not body(env)

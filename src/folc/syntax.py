@@ -388,7 +388,7 @@ class _Parser:
     def term(self, i: int) -> tuple[Term, int]:
         """The term starting at token i, and the index of the token after it."""
         toks = self.toks
-        functions = self.functions
+        functions, relations = self.functions, self.relations
         numeric = self.numeric is not None
         stack = []  # "+", "-" or "*" waiting for its right operand, "(", or an open application
         vals = []  # the left operands of the operators, and the finished arguments of the applications
@@ -401,6 +401,8 @@ class _Parser:
                 if arity is None:
                     if toks[i + 1] == "(":
                         self.fail(f"unknown function symbol {t!r}", i)
+                    if t in relations:
+                        self.fail(f"{t!r} is a declared symbol, not a variable", i)
                     if t[0] == FRESH_PREFIX and not self.allow_fresh:
                         self.fail(f"variable names may not start with {FRESH_PREFIX!r}", i)
                     cur = Var(t)

@@ -155,7 +155,7 @@ def _ref_j_eval(t, J):
         return t
     args = tuple(_ref_j_eval(a, J) for a in t.args)
     if all(isinstance(a, Val) for a in args):
-        return Val(J.eval_fn(t.symbol, [a.value for a in args]))
+        return Val(J.functions[t.symbol](*[a.value for a in args]))
     return App(t.symbol, args)
 
 
@@ -353,6 +353,22 @@ class TestSubstNormalForm:
 def test_herbrand_signature_without_a_constant_is_rejected():
     with pytest.raises(ValueError, match="no constant, so the Herbrand universe is empty"):
         herbrand_algebra([("f", 1), ("g", 2)])
+
+
+@pytest.mark.parametrize("name", ["int_alg", "rat_alg", "herb"])
+def test_tables_cover_the_signature(name, request):
+    # A symbol the parser accepts must have an operation: a missing one
+    # would surface as a KeyError in the middle of an evaluation.
+    J = request.getfixturevalue(name)
+    assert J.functions.keys() == J.signature.functions.keys()
+    assert J.relations.keys() == set(J.signature.relations) | {"=", "/="}
+
+
+def test_herbrand_operations_build_their_terms(herb):
+    a, b = App("a", ()), App("b", ())
+    assert herb.functions["a"]() == a
+    assert herb.functions["f"](a) == App("f", (a,))
+    assert herb.functions["g"](a, b) == T("g(a, b)", herb)
 
 
 def truth(f, theta, J):

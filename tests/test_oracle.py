@@ -1,6 +1,8 @@
+import ast
 import collections
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from folc.algebra import (
     parse_subst,
     rat_algebra,
 )
+from folc import oracle
 from folc.corpus import gen_formula, gen_state, persistence_corpus, soundness_corpus
 from folc.infer import get_policy
 from folc.oracle import (
@@ -222,7 +225,7 @@ def _ref_tval(t, env, J):
         return env[t.name]
     if isinstance(t, Val):
         return t.value
-    return J.eval_fn(t.symbol, [_ref_tval(a, env, J) for a in t.args])
+    return J.functions[t.symbol](*[_ref_tval(a, env, J) for a in t.args])
 
 
 def _ref_truth(f, env, J, qcands):
@@ -231,7 +234,7 @@ def _ref_truth(f, env, J, qcands):
     if isinstance(f, Neq):
         return _ref_tval(f.lhs, env, J) != _ref_tval(f.rhs, env, J)
     if isinstance(f, Atom):
-        return J.rel_truth(f.rel, [_ref_tval(a, env, J) for a in f.args])
+        return J.relations[f.rel](*[_ref_tval(a, env, J) for a in f.args])
     if isinstance(f, Not):
         return not _ref_truth(f.body, env, J, qcands)
     if isinstance(f, And):
@@ -416,6 +419,20 @@ class TestCompiledTruth:
         unbound = {"y": 1}
         assert _compile(outer, int_alg, qcands)(unbound) is True
         assert unbound == {"y": 1}
+
+
+def test_oracle_stays_independent_of_the_code_it_checks():
+    # The oracle is a test reference: it may call the evaluator through its
+    # entry points, and build nothing on the policies it judges.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = collections.defaultdict(set)  # module, relative or under folc -> the names taken from it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported[(node.module or "").removeprefix("folc.")].update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((a.name.removeprefix("folc."), set()) for a in node.names)
+    assert "infer" not in imported and "infer" not in imported[""]
+    assert imported["semantics"] == {"make_context", "evaluate"}
 
 
 @pytest.mark.xfail(

@@ -128,6 +128,8 @@ _ERROR_SITES = [
     ("formula", "relations", "p(x) & q(a)", "relation p expects 2 arguments, got 1 (at position 0)"),
     ("formula", "herbrand", "x < y", "relation '<' is not available in this algebra (at position 2)"),
     ("formula", "relations", "x q y", "relation q is not binary (at position 2)"),
+    ("formula", "relations", "p = a", "'p' is a declared symbol, not a variable (at position 0)"),
+    ("formula", "relations", "f(p) = a", "'p' is a declared symbol, not a variable (at position 2)"),
     ("formula", "int", "x + 1", "expected a relation, found 'end of input' (at position 5)"),
     ("formula", "int", "x = )", "expected a term, found ')' (at position 4)"),
     ("formula", "herbrand", "x = 1", "numeric literals require an arithmetic algebra (at position 4)"),
