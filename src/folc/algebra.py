@@ -60,7 +60,7 @@ _ARITH_RELATIONS = {"=": eq, "/=": ne, "<": lt, "<=": le}
 
 
 def _arith_algebra(numeric) -> Algebra:
-    sig = Signature(dict.fromkeys(_ARITH_FUNCTIONS, 2), {"<": 2, "<=": 2}, numeric=numeric)
+    sig = Signature(dict.fromkeys(_ARITH_FUNCTIONS, 2), numeric)
     return Algebra(numeric, sig, _ARITH_FUNCTIONS, _ARITH_RELATIONS)
 
 
@@ -82,7 +82,7 @@ def herbrand_algebra(constructors) -> Algebra:
 
     At least one constructor must be a constant, or there are no ground terms.
     """
-    sig = Signature(constructors, (), numeric=None)
+    sig = Signature(constructors)
     if 0 not in sig.functions.values():
         raise ValueError("--sig declares no constant, so the Herbrand universe is empty")
     functions = {name: partial(_construct, name) for name in sig.functions}
@@ -335,9 +335,8 @@ def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
     return gamma
 
 
-def parse_subst(text: str, J: Algebra, allow_fresh: bool = False) -> JSubst:
-    pairs = parse_substitution_pairs(text, J.signature, allow_fresh)
-    return make_subst(pairs, J)
+def parse_subst(text: str, J: Algebra) -> JSubst:
+    return make_subst(parse_substitution_pairs(text, J.signature), J)
 
 
 # ---------------------------------------------------------------------------

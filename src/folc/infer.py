@@ -10,10 +10,16 @@ step over a passive/active split of the store.
 Such a policy is an instance of StorePolicy: a name, the algebras it is
 sound over, an admission test deciding which stores it handles (any other
 store is error), and one resolve rule, one subclass per rule (unification,
-literal truth, disequations, Gaussian pivoting).  StorePolicy.step resolves
-every constraint of the store once and acts on the last active one; aux
-reaches the same fixpoint as repeating step, resolving again only the
-constraints a binding touches.
+literal truth, disequations, Gaussian pivoting).  The admission tests are
+isinstance tests on the formula and, for a negation, on its body.
+
+Every decision on one constraint, by a resolve rule, by equation_step or by
+rewrite_linear, answers in one vocabulary: ('bind', theta') with the new
+substitution, ('drop',), ('fail',) or ('passive',) when the constraint
+cannot be decided yet.  The baseline reads passive as error.
+StorePolicy.step resolves every constraint of the store once and acts on
+the last active one; aux reaches the same fixpoint as repeating step,
+resolving again only the constraints a binding touches.
 """
 
 from __future__ import annotations
@@ -62,6 +68,8 @@ from .syntax import (
     term_vars,
 )
 
+_PASSIVE = ("passive",)
+
 # ---------------------------------------------------------------------------
 # Unification (Herbrand)
 
@@ -105,11 +113,11 @@ def mgu(s: Term, t: Term):
 
 
 def equation_step(s: Term, t: Term, theta: JSubst, J: Algebra):
-    """One equation resolution: ('bind', theta'), ('drop',), ('fail',) or ('error',).
+    """One equation resolution: ('bind', theta'), ('drop',), ('fail',) or ('passive',).
 
     bind: one side applies to a variable absent from the other side.
     drop: both sides have identical J-values.  fail: ground with distinct
-    values.  error: anything else (the equation is not decidable yet).
+    values.  passive: anything else (the equation is not decidable yet).
     """
     sa = apply_subst(s, theta)
     ta = apply_subst(t, theta)
@@ -122,22 +130,7 @@ def equation_step(s: Term, t: Term, theta: JSubst, J: Algebra):
         return ("drop",)
     if term_is_ground(sa) and term_is_ground(ta):
         return ("fail",)
-    return ("error",)
-
-
-def as_literal(f: Formula):
-    """(positive?, atom) with the s /= t spelling folded into negated s = t.
-
-    Returns None for non-literals; classification treats Neq(s, t) and
-    Not(Eq(s, t)) identically everywhere.
-    """
-    if isinstance(f, (Atom, Eq)):
-        return (True, f)
-    if isinstance(f, Neq):
-        return (False, Eq(f.lhs, f.rhs))
-    if isinstance(f, Not) and isinstance(f.body, (Atom, Eq)):
-        return (False, f.body)
-    return None
+    return _PASSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +184,21 @@ def _affine_term(const: Fraction, coeffs: dict) -> Term:
 def rewrite_linear(e: Eq, theta: JSubst, J: Algebra):
     """Resolve (lhs = rhs) under theta by reading lhs - rhs as a linear form.
 
-    ('drop',) for 0 = 0, ('fail',) for r = 0 with r nonzero, otherwise
-    ('pivot', x, u) for x = u on the lexicographically first variable with a
-    nonzero coefficient; ('passive',) when products of variables survive.
+    ('drop',) for 0 = 0, ('fail',) for r = 0 with r nonzero, ('passive',)
+    when products of variables survive, otherwise ('bind', theta') with
+    theta' theta composed with the pivot x = u, x the lexicographically
+    first variable with a nonzero coefficient.
     """
     form = _linear_form(App("-", (apply_subst(e.lhs, theta), apply_subst(e.rhs, theta))))
     if form is None:
-        return ("passive",)
+        return _PASSIVE
     const, coeffs = form
     if not coeffs:
         return ("drop",) if const == 0 else ("fail",)
     x = min(coeffs)
     cx = coeffs[x]
-    rest_coeffs = {v: -c / cx for v, c in coeffs.items() if v != x}
-    return ("pivot", x, _affine_term(-const / cx, rest_coeffs))
+    u = _affine_term(-const / cx, {v: -c / cx for v, c in coeffs.items() if v != x})
+    return ("bind", compose(theta, make_subst([(x, u)], J), J))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +223,6 @@ class InferPolicy:
 
     def __repr__(self):
         return f"<policy {self.name}>"
-
-
-_PASSIVE = ("passive",)
 
 
 def _watched(f: Formula) -> frozenset:
@@ -369,11 +360,10 @@ class LiteralsPolicy(StorePolicy):
 
     def resolve(self, f, theta, J):
         if isinstance(f, Eq):
-            outcome = equation_step(f.lhs, f.rhs, theta, J)
-            return ("passive",) if outcome[0] == "error" else outcome
+            return equation_step(f.lhs, f.rhs, theta, J)
         truth = literal_truth(f, theta, J)
         if truth is None:
-            return ("passive",)
+            return _PASSIVE
         return ("drop",) if truth else ("fail",)
 
 
@@ -387,25 +377,21 @@ class DiseqPolicy(UnifyPolicy):
     def resolve(self, f, theta, J):
         if isinstance(f, Eq):
             return super().resolve(f, theta, J)
-        _, eq = as_literal(f)
-        sa = apply_subst(eq.lhs, theta)
-        ta = apply_subst(eq.rhs, theta)
+        d = f.body if isinstance(f, Not) else f  # s /= t or ~(s = t)
+        sa = apply_subst(d.lhs, theta)
+        ta = apply_subst(d.rhs, theta)
         if sa == ta:
             return ("fail",)
         if term_is_ground(sa) and term_is_ground(ta):
             return ("drop",)  # ground and distinct: the disequation holds
-        return ("passive",)
+        return _PASSIVE
 
 
 class LinearPolicy(StorePolicy):
     """Linear equations active (Gaussian elimination), non-linear ones passive."""
 
     def resolve(self, f, theta, J):
-        outcome = rewrite_linear(f, theta, J)
-        if outcome[0] != "pivot":
-            return outcome
-        _, x, u = outcome
-        return ("bind", compose(theta, make_subst([(x, u)], J), J))
+        return rewrite_linear(f, theta, J)
 
 
 def _is_equation(f: Formula) -> bool:
@@ -413,17 +399,15 @@ def _is_equation(f: Formula) -> bool:
 
 
 def _is_positive_literal(f: Formula) -> bool:
-    lit = as_literal(f)
-    return lit is not None and lit[0]
+    return isinstance(f, (Atom, Eq))
 
 
 def _is_literal(f: Formula) -> bool:
-    return as_literal(f) is not None
+    return isinstance(f, (Atom, Eq, Neq)) or isinstance(f, Not) and isinstance(f.body, (Atom, Eq))
 
 
 def _is_equality_literal(f: Formula) -> bool:
-    lit = as_literal(f)
-    return lit is not None and isinstance(lit[1], Eq)
+    return isinstance(f, (Eq, Neq)) or isinstance(f, Not) and isinstance(f.body, Eq)
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +415,20 @@ def _is_equality_literal(f: Formula) -> bool:
 
 
 def _literal_lift(f: Formula, theta: JSubst, J: Algebra):
-    """Baseline resolution of a single atomic constraint to an answer set."""
-    if isinstance(f, Eq):
-        outcome = equation_step(f.lhs, f.rhs, theta, J)
-        if outcome[0] == "bind":
-            return (pair((), outcome[1]),)
-        if outcome[0] == "drop":
-            return (pair((), theta),)
-        if outcome[0] == "fail":
-            return ()
-        return (ERROR,)
-    truth = literal_truth(f, theta, J)
-    if truth is None:
-        return (ERROR,)
-    return (pair((), theta),) if truth else ()
+    """Baseline resolution of a single atomic constraint to an answer set.
+
+    The literals policy's resolve decides it; what that policy would keep
+    passive is error here.
+    """
+    outcome = LITERALS.resolve(f, theta, J)
+    tag = outcome[0]
+    if tag == "bind":
+        return (pair((), outcome[1]),)
+    if tag == "drop":
+        return (pair((), theta),)
+    if tag == "fail":
+        return ()
+    return (ERROR,)
 
 
 def baseline_infer(sigma, J: Algebra):

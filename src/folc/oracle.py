@@ -124,23 +124,17 @@ def subst_formula(f: Formula, theta: JSubst, J: Algebra, _fresh=None) -> Formula
 # Atom collection and the exactness guard
 
 
-def _collect_atoms(f: Formula, out: list) -> bool:
-    """Gather (lhs, rhs) atom sides into out; False for unsupported shapes."""
+def _collect_atoms(f: Formula, out: list) -> None:
+    """Gather the (lhs, rhs) sides of f's atoms into out; Bottom carries none."""
     if isinstance(f, (Eq, Neq)):
         out.append((f.lhs, f.rhs))
-        return True
-    if isinstance(f, Atom):
-        if len(f.args) != 2:
-            return False
-        out.append((f.args[0], f.args[1]))
-        return True
-    if isinstance(f, Not):
-        return _collect_atoms(f.body, out)
-    if isinstance(f, (And, Or)):
-        return _collect_atoms(f.lhs, out) and _collect_atoms(f.rhs, out)
-    if isinstance(f, Exists):
-        return _collect_atoms(f.body, out)
-    return True  # Bottom carries no terms
+    elif isinstance(f, Atom):
+        out.append(f.args)
+    elif isinstance(f, (Not, Exists)):
+        _collect_atoms(f.body, out)
+    elif isinstance(f, (And, Or)):
+        _collect_atoms(f.lhs, out)
+        _collect_atoms(f.rhs, out)
 
 
 def _quantifiers(f: Formula):
@@ -211,8 +205,8 @@ def _int_candidates(formulas, bound: IntervalBound, boost: int, qd: int):
     free values under the atoms, one slack step per nesting level (qd levels).
     """
     atoms: list = []
-    if not all(_collect_atoms(f, atoms) for f in formulas):
-        return None
+    for f in formulas:
+        _collect_atoms(f, atoms)
     span = max(abs(bound.lo), abs(bound.hi))
     max_const = 0
     for lhs, rhs in atoms:
@@ -284,8 +278,8 @@ def _herbrand_candidates(formulas, J: Algebra, bound: DepthBound, boost: int, qd
     level (qd of them) on top.
     """
     atoms: list = []
-    if not all(_collect_atoms(f, atoms) for f in formulas):
-        return None
+    for f in formulas:
+        _collect_atoms(f, atoms)
     has_functions = any(a > 0 for a in J.signature.functions.values())
     if not has_functions:
         cands = ground_terms(J.signature, 0)
@@ -347,7 +341,7 @@ def _compile(f: Formula, J: Algebra, qcands: list):
         return lambda env: lhs(env) != rhs(env)
     if isinstance(f, Atom):
         truth = J.relations[f.rel]
-        (a, _), (b, _) = (_compile_term(t, J) for t in f.args)  # the guard admits binary atoms only
+        (a, _), (b, _) = (_compile_term(t, J) for t in f.args)  # every atom is binary
         return lambda env: truth(a(env), b(env))
     if isinstance(f, Not):
         body = _compile(f.body, J, qcands)

@@ -6,23 +6,24 @@ Grammar, loosest to tightest binding:
     disj    := conj ('|' conj)*
     conj    := unary ('&' unary)*
     unary   := '~' unary | 'exists' IDENT '.' unary | atom
-    atom    := 'false' | REL '(' terms ')' | term ('=' | '/=' | '<' | '<=' | REL) term
+    atom    := 'false' | term ('=' | '/=' | '<' | '<=') term
     term    := mult (('+' | '-') mult)*          (arithmetic signatures only)
     mult    := primary ('*' primary)*
     primary := NUMBER | '-' NUMBER | NUMBER '/' NUMBER
              | IDENT | IDENT '(' terms ')' | '(' term ')'
 
 Identifiers are lowercase; the signature decides whether an identifier is a
-variable, a function symbol or a relation symbol.  Names starting with `$`
-are reserved for machine-generated fresh variables and rejected in user
-input (internal re-parsing passes allow_fresh=True).
+variable or a function symbol.  `<` and `<=` exist only in the arithmetic
+signatures.  Names starting with `$` are reserved for machine-generated
+fresh variables and rejected in user input (internal re-parsing passes
+allow_fresh=True).
 
 A `(` where a formula may start is read in one look.  Over Herbrand it
 always opens a parenthesised formula.  In a numeric signature it opens a
 term iff its group, up to the matching `)` (or to the end of the input if
-there is none), holds no `=`, `/=`, `<`, `<=`, relation identifier, `&`,
-`|`, `~`, `false` or `exists` token.  So "(x + y) * z = 1" starts with a
-term and "(x = 1 | y = 2) & z = 3" with a formula.
+there is none), holds no `=`, `/=`, `<`, `<=`, `&`, `|`, `~`, `false` or
+`exists` token.  So "(x + y) * z = 1" starts with a term and
+"(x = 1 | y = 2) & z = 3" with a formula.
 
 The scanner splits the text into tokens in one regular-expression pass.
 The parser reads formulas and terms by precedence climbing over explicit
@@ -156,16 +157,18 @@ BOTTOM = Bottom()
 
 
 class Signature:
-    """Declared function and relation symbols plus the numeric flavour.
+    """Declared function symbols plus the numeric flavour.
 
     numeric is None for Herbrand-style signatures, "int" or "rat" for the
-    arithmetic ones (it controls how numeric literals are read).
+    arithmetic ones: it controls how numeric literals are read, and decides
+    the relations besides = and /=, which are < and <= for the arithmetic
+    signatures and none for Herbrand.
     """
 
-    def __init__(self, functions=(), relations=(), numeric=None):
+    def __init__(self, functions=(), numeric=None):
         self.functions = dict(functions)
-        self.relations = dict(relations)
         self.numeric = numeric
+        self.relations = {} if numeric is None else {"<": 2, "<=": 2}
 
     def __repr__(self):
         fns = ",".join(f"{n}/{a}" for n, a in self.functions.items())
@@ -215,7 +218,7 @@ _TOKEN_SPLIT = re.compile(r"(\d+|\$?[a-z][a-z0-9_]*|<=|/=|[()=<>~&|.,+\-*/{};])"
 _KEYWORDS = ("exists", "false")
 _IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyz$")  # the first characters of identifiers
 _TERM_PREC = {"+": 1, "-": 1, "*": 2}
-# With the relation identifiers, the tokens whose group opens a formula.
+# The tokens whose group opens a formula.
 _FORMULA_TOKENS = frozenset(("=", "/=", "<", "<=", "&", "|", "~", "false", "exists"))
 _FORMULA_STOPS = frozenset(("(", "&", "|"))
 
@@ -336,7 +339,6 @@ class _Parser:
 
     def formula_groups(self) -> set[int]:
         """The indices of the "(" whose groups hold a relation, connective, `false` or `exists`: one pass."""
-        rels = self.relations
         marked = set()
         open_ = []  # indices of the unclosed "(" so far
         for j, t in enumerate(self.toks):
@@ -345,7 +347,7 @@ class _Parser:
             elif t == ")":
                 if open_ and open_.pop() in marked and open_:
                     marked.add(open_[-1])
-            elif open_ and (t in _FORMULA_TOKENS or t in rels):
+            elif open_ and t in _FORMULA_TOKENS:
                 marked.add(open_[-1])
         for k in range(len(open_) - 1, 0, -1):  # groups left open run to the end of input
             if open_[k] in marked:
@@ -357,38 +359,24 @@ class _Parser:
         t = toks[i]
         if t == "false":
             return BOTTOM, i + 1
-        rels = self.relations
-        if t in rels and t[:1] in _IDENT_START and toks[i + 1] == "(":
-            args, j = self.term_list(i + 2)
-            self.expect(")", j)
-            if len(args) != rels[t]:
-                self.fail(f"relation {t} expects {rels[t]} arguments, got {len(args)}", i)
-            return Atom(t, tuple(args)), j + 1
         lhs, i = self.term(i)
         t = toks[i]
-        if t == "=":
-            rhs, j = self.term(i + 1)
-            return Eq(lhs, rhs), j
-        if t == "/=":
-            rhs, j = self.term(i + 1)
-            return Neq(lhs, rhs), j
         if t == "<" or t == "<=":
-            if t not in rels:
+            if t not in self.relations:
                 self.fail(f"relation {t!r} is not available in this algebra", i)
-        elif t in rels and t[:1] in _IDENT_START:
-            if rels[t] != 2:
-                self.fail(f"relation {t} is not binary", i)
-        else:
+        elif t != "=" and t != "/=":
             self.fail(f"expected a relation, found {t or 'end of input'!r}", i)
         rhs, j = self.term(i + 1)
-        return Atom(t, (lhs, rhs)), j
+        if t == "=":
+            return Eq(lhs, rhs), j
+        return (Neq(lhs, rhs) if t == "/=" else Atom(t, (lhs, rhs))), j
 
     # terms ---------------------------------------------------------------
 
     def term(self, i: int) -> tuple[Term, int]:
         """The term starting at token i, and the index of the token after it."""
         toks = self.toks
-        functions, relations = self.functions, self.relations
+        functions = self.functions
         numeric = self.numeric is not None
         stack = []  # "+", "-" or "*" waiting for its right operand, "(", or an open application
         vals = []  # the left operands of the operators, and the finished arguments of the applications
@@ -401,8 +389,6 @@ class _Parser:
                 if arity is None:
                     if toks[i + 1] == "(":
                         self.fail(f"unknown function symbol {t!r}", i)
-                    if t in relations:
-                        self.fail(f"{t!r} is a declared symbol, not a variable", i)
                     if t[0] == FRESH_PREFIX and not self.allow_fresh:
                         self.fail(f"variable names may not start with {FRESH_PREFIX!r}", i)
                     cur = Var(t)
@@ -472,20 +458,11 @@ class _Parser:
             return Val(Fraction(num)), i + 1
         return Val(num), i + 1
 
-    def term_list(self, i: int) -> tuple[list[Term], int]:
-        args = []
-        while True:
-            t, i = self.term(i)
-            args.append(t)
-            if self.toks[i] != ",":
-                return args, i
-            i += 1
-
     def var_name(self, i: int) -> str:
         t = self.toks[i]
         if t[:1] not in _IDENT_START or t in _KEYWORDS:
             self.fail(f"expected a variable name, found {t!r}", i)
-        if t in self.functions or t in self.relations:
+        if t in self.functions:
             self.fail(f"{t!r} is a declared symbol, not a variable", i)
         if t[0] == FRESH_PREFIX and not self.allow_fresh:
             self.fail(f"variable names may not start with {FRESH_PREFIX!r}", i)
@@ -560,7 +537,6 @@ def formula_to_str(f: Formula) -> str:
 
 
 _ADDITIVE = ("+", "-")
-_INFIX_RELS = ("=", "/=", "<", "<=")
 
 
 def write_to(out: list, x) -> None:
@@ -640,18 +616,9 @@ def write_to(out: list, x) -> None:
             push(" = " if cls is Eq else " /= ")
             push(x.lhs)
         elif cls is Atom:
-            args = x.args
-            if x.rel in _INFIX_RELS and len(args) == 2:
-                push(args[1])
-                push(f" {x.rel} ")
-                push(args[0])
-            else:
-                put(x.rel + "(")
-                push(")")
-                for k in range(len(args) - 1, 0, -1):
-                    push(args[k])
-                    push(", ")
-                push(args[0])
+            push(x.args[1])
+            push(f" {x.rel} ")
+            push(x.args[0])
         elif cls is And or cls is Or:
             lhs, rhs = x.lhs, x.rhs
             r = type(rhs)

@@ -94,15 +94,106 @@ class TestEvalCommand:
         assert code == 0
 
     def test_trace_goes_to_stderr_only(self, capsys):
-        code = main(["eval", "--algebra", "int", "--policy", "atoms", "--trace", "y < z"])
-        captured = capsys.readouterr()
-        assert captured.out.strip() == "<y < z | {}>"
-        events = [json.loads(line) for line in captured.err.splitlines()]
-        assert all("event" in e for e in events)
-        # exit code is a function of the answer set only
-        plain = main(["eval", "--algebra", "int", "--policy", "atoms", "y < z"])
-        capsys.readouterr()
-        assert code == plain == 0
+        for argv, out, code, events in _TRACED:
+            assert main(["eval", "--trace"] + argv) == code, argv
+            captured = capsys.readouterr()
+            assert captured.out == out, argv
+            assert captured.err == "".join(json.dumps(e) + "\n" for e in events), argv
+            # stdout and the exit code are the same without --trace
+            assert main(["eval"] + argv) == code
+            assert capsys.readouterr() == (out, "")
+
+
+def _infer(policy, state, *output):
+    return {"event": "infer", "policy": policy, "state": state, "output": list(output)}
+
+
+def _clause(kind, formula, state, *output):
+    return {"event": "clause", "clause": kind, "formula": formula, "state": state, "output": list(output)}
+
+
+# One command line per policy: (argv after "eval --trace", stdout, exit code, stderr events).
+_TRACED = [
+    (
+        ["--algebra", "int", "--policy", "baseline", "y < z & y = 1 & z = 2"],
+        "error\n",
+        1,
+        [
+            _infer("baseline", "<y < z | {}>", "error"),
+            _clause("atom", "y < z", "<{} | {}>", "error"),
+            _clause("eq", "y = 1", "error", "error"),
+            _clause("and", "y < z & y = 1", "<{} | {}>", "error"),
+            _clause("eq", "z = 2", "error", "error"),
+            _clause("and", "y < z & y = 1 & z = 2", "<{} | {}>", "error"),
+        ],
+    ),
+    (
+        ["--algebra", "int", "--policy", "atoms", "y < z & y = 1 & z = 2"],
+        "<{} | {y/1, z/2}>\n",
+        0,
+        [
+            _infer("atoms", "<y < z | {}>", "<y < z | {}>"),
+            _clause("atom", "y < z", "<{} | {}>", "<y < z | {}>"),
+            _infer("atoms", "<y < z; y = 1 | {}>", "<y < z | {y/1}>"),
+            _clause("eq", "y = 1", "<y < z | {}>", "<y < z | {y/1}>"),
+            _clause("and", "y < z & y = 1", "<{} | {}>", "<y < z | {y/1}>"),
+            _infer("atoms", "<y < z; z = 2 | {y/1}>", "<{} | {y/1, z/2}>"),
+            _clause("eq", "z = 2", "<y < z | {y/1}>", "<{} | {y/1, z/2}>"),
+            _clause("and", "y < z & y = 1 & z = 2", "<{} | {}>", "<{} | {y/1, z/2}>"),
+        ],
+    ),
+    (
+        ["--algebra", "herbrand", "--sig", "f/1,g/2,a/0,b/0", "--policy", "diseq"]
+        + ["f(x) /= f(y) & g(x,b) = g(a,y)"],
+        "<{} | {x/a, y/b}>\n",
+        0,
+        [
+            _infer("diseq", "<f(x) /= f(y) | {}>", "<f(x) /= f(y) | {}>"),
+            _clause("neq", "f(x) /= f(y)", "<{} | {}>", "<f(x) /= f(y) | {}>"),
+            _infer("diseq", "<f(x) /= f(y); g(x, b) = g(a, y) | {}>", "<{} | {x/a, y/b}>"),
+            _clause("eq", "g(x, b) = g(a, y)", "<f(x) /= f(y) | {}>", "<{} | {x/a, y/b}>"),
+            _clause("and", "f(x) /= f(y) & g(x, b) = g(a, y)", "<{} | {}>", "<{} | {x/a, y/b}>"),
+        ],
+    ),
+    (
+        ["--algebra", "herbrand", "--sig", "f/1,a/0", "--policy", "unify", "x = f(y) & y = a"],
+        "<{} | {x/f(a), y/a}>\n",
+        0,
+        [
+            _infer("unify", "<x = f(y) | {}>", "<{} | {x/f(y)}>"),
+            _clause("eq", "x = f(y)", "<{} | {}>", "<{} | {x/f(y)}>"),
+            _infer("unify", "<y = a | {x/f(y)}>", "<{} | {x/f(a), y/a}>"),
+            _clause("eq", "y = a", "<{} | {x/f(y)}>", "<{} | {x/f(a), y/a}>"),
+            _clause("and", "x = f(y) & y = a", "<{} | {}>", "<{} | {x/f(a), y/a}>"),
+        ],
+    ),
+    (
+        ["--algebra", "rat", "--policy", "linear", "x + y = 3 & x - y = 1"],
+        "<{} | {x/2, y/1}>\n",
+        0,
+        [
+            _infer("linear", "<x + y = 3 | {}>", "<{} | {x/3 - y}>"),
+            _clause("eq", "x + y = 3", "<{} | {}>", "<{} | {x/3 - y}>"),
+            _infer("linear", "<x - y = 1 | {x/3 - y}>", "<{} | {x/2, y/1}>"),
+            _clause("eq", "x - y = 1", "<{} | {x/3 - y}>", "<{} | {x/2, y/1}>"),
+            _clause("and", "x + y = 3 & x - y = 1", "<{} | {}>", "<{} | {x/2, y/1}>"),
+        ],
+    ),
+    (
+        ["--algebra", "int", "--policy", "literals", "~(x = 1) & x = 0"],
+        "<{} | {x/0}>\n",
+        0,
+        [
+            _infer("literals", "<x = 1 | {}>", "<{} | {x/1}>"),
+            _clause("eq", "x = 1", "<{} | {}>", "<{} | {x/1}>"),
+            _infer("literals", "<~(x = 1) | {}>", "<~(x = 1) | {}>"),
+            _clause("not", "~(x = 1)", "<{} | {}>", "<~(x = 1) | {}>"),
+            _infer("literals", "<~(x = 1); x = 0 | {}>", "<{} | {x/0}>"),
+            _clause("eq", "x = 0", "<~(x = 1) | {}>", "<{} | {x/0}>"),
+            _clause("and", "~(x = 1) & x = 0", "<{} | {}>", "<{} | {x/0}>"),
+        ],
+    ),
+]
 
 
 class TestJsonRoundTrip:

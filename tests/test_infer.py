@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from folc import infer
-from folc.algebra import EMPTY_SUBST, apply_subst, int_algebra, make_subst, parse_subst
+from folc.algebra import EMPTY_SUBST, JSubst, apply_subst, int_algebra, make_subst, parse_subst
 from folc.corpus import persistence_corpus, soundness_corpus
 from folc.infer import (
     ATOMS,
@@ -19,13 +19,14 @@ from folc.infer import (
     storeless_eval,
     aux,
     baseline_infer,
+    equation_step,
     get_policy,
     mgu,
     rewrite_linear,
 )
 from folc.semantics import evaluate, make_context
 from folc.state import ERROR, Pair, Store, pair
-from folc.syntax import And, Atom, Not, Or, Val, Var, free_vars, parse_formula
+from folc.syntax import BOTTOM, And, Atom, Eq, Exists, Neq, Not, Or, Val, Var, free_vars, parse_formula
 from conftest import herb_terms
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -404,17 +405,62 @@ class TestRewriteLinear:
 
     def test_pivot_first_variable(self, rat_alg):
         out = rewrite_linear(F("x + y = 3", rat_alg), EMPTY_SUBST, rat_alg)
-        assert out == ("pivot", "x", T("3 - y", rat_alg))
+        assert out == ("bind", make_subst([("x", T("3 - y", rat_alg))], rat_alg))
         # substituting the pivot back solves the equation
-        theta = make_subst([("x", out[2])], rat_alg)
-        assert rewrite_linear(F("x + y = 3", rat_alg), theta, rat_alg) == ("drop",)
+        assert rewrite_linear(F("x + y = 3", rat_alg), out[1], rat_alg) == ("drop",)
 
     def test_nonlinear(self, rat_alg):
         assert rewrite_linear(F("x * x = 4", rat_alg), EMPTY_SUBST, rat_alg) == ("passive",)
 
     def test_rational_pivot(self, rat_alg):
         out = rewrite_linear(F("2 * x = 3", rat_alg), EMPTY_SUBST, rat_alg)
-        assert out == ("pivot", "x", Val(Fraction(3, 2)))
+        assert out == ("bind", make_subst([("x", Val(Fraction(3, 2)))], rat_alg))
+
+
+class TestResolveVocabulary:
+    """Every decision on one constraint answers ('bind', theta'), ('drop',), ('fail',) or ('passive',)."""
+
+    def test_undecidable_equation_is_passive(self, int_alg):
+        e = F("x + y = 1", int_alg)
+        assert equation_step(e.lhs, e.rhs, EMPTY_SUBST, int_alg) == ("passive",)
+
+    @pytest.mark.parametrize("text", ["2 = 2", "0 * x = 1", "x * x = 4", "x + y = 3", "2 * x = 3"])
+    def test_rewrite_linear_answers_the_four_tags(self, text, rat_alg):
+        out = rewrite_linear(F(text, rat_alg), EMPTY_SUBST, rat_alg)
+        assert out[0] in ("bind", "drop", "fail", "passive")
+        if out[0] == "bind":
+            assert len(out) == 2 and isinstance(out[1], JSubst)
+        else:
+            assert len(out) == 1
+
+
+_x_lt_y, _x_eq_y = Atom("<", (x, y)), Eq(x, y)
+_SHAPES = {
+    "Atom": _x_lt_y,
+    "Eq": _x_eq_y,
+    "Neq": Neq(x, y),
+    "Not(Atom)": Not(_x_lt_y),
+    "Not(Eq)": Not(_x_eq_y),
+    "Not(Neq)": Not(Neq(x, y)),
+    "Not(Not(Eq))": Not(Not(_x_eq_y)),
+    "Bottom": BOTTOM,
+    "And": And(_x_eq_y, _x_eq_y),
+    "Or": Or(_x_eq_y, _x_eq_y),
+    "Exists": Exists("x", _x_eq_y),
+}
+_ADMITTED = {
+    "unify": {"Eq"},
+    "atoms": {"Atom", "Eq"},
+    "linear": {"Eq"},
+    "literals": {"Atom", "Eq", "Neq", "Not(Atom)", "Not(Eq)"},
+    "diseq": {"Eq", "Neq", "Not(Eq)"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ADMITTED))
+def test_admission_table(name):
+    admits = POLICIES[name].admits
+    assert {shape for shape, f in _SHAPES.items() if admits(f)} == _ADMITTED[name]
 
 
 class TestLinearPolicy:

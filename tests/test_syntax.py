@@ -15,7 +15,6 @@ from folc.syntax import (
     Not,
     Or,
     ParseError,
-    Signature,
     Val,
     Var,
     formula_to_str,
@@ -112,7 +111,6 @@ class TestParseErrors:
 
 # One input per ParseError raised in folc.syntax, with the message and
 # position it has printed since before the parser became precedence climbing.
-_RELATIONS = Signature([("f", 1), ("a", 0)], [("p", 2), ("q", 1)])
 _ERROR_SITES = [
     ("decl", None, "f/1, F/2", "bad signature entry 'F/2' (at position 5)"),
     ("decl", None, "a/0,exists/1", "signature entry 'exists/1': 'exists' is a keyword (at position 4)"),
@@ -125,11 +123,7 @@ _ERROR_SITES = [
     ("subst", "int", "x/1", "expected '{', found 'x' (at position 0)"),
     ("subst", "int", "{x/1", "expected '}', found 'end of input' (at position 4)"),
     ("formula", "int", "x = 1 )", "unexpected ')' after formula (at position 6)"),
-    ("formula", "relations", "p(x) & q(a)", "relation p expects 2 arguments, got 1 (at position 0)"),
     ("formula", "herbrand", "x < y", "relation '<' is not available in this algebra (at position 2)"),
-    ("formula", "relations", "x q y", "relation q is not binary (at position 2)"),
-    ("formula", "relations", "p = a", "'p' is a declared symbol, not a variable (at position 0)"),
-    ("formula", "relations", "f(p) = a", "'p' is a declared symbol, not a variable (at position 2)"),
     ("formula", "int", "x + 1", "expected a relation, found 'end of input' (at position 5)"),
     ("formula", "int", "x = )", "expected a term, found ')' (at position 4)"),
     ("formula", "herbrand", "x = 1", "numeric literals require an arithmetic algebra (at position 4)"),
@@ -154,9 +148,8 @@ def test_parse_error_messages_are_pinned(kind, algebra, text, message, int_alg, 
             parse_signature_decl(text)
         else:
             signatures = {"int": int_alg, "rat": rat_alg, "herbrand": herb}
-            signature = _RELATIONS if algebra == "relations" else signatures[algebra].signature
             parse = {"formula": parse_formula, "term": parse_term, "subst": parse_substitution_pairs}[kind]
-            parse(text, signature)
+            parse(text, signatures[algebra].signature)
     assert str(err.value) == message
 
 
