@@ -30,6 +30,7 @@ from .algebra import (
     Algebra,
     JSubst,
     apply_subst,
+    atom_truth,
     compose,
     j_eval,
     literal_truth,
@@ -137,32 +138,65 @@ def equation_step(s: Term, t: Term, theta: JSubst, J: Algebra):
 # Linear-equation rewriting (exact rationals)
 
 
-def _linear_form(t: Term):
-    """(constant, {var: coefficient}) over Fractions, or None if non-linear.
+def _linear_form(lhs: Term, rhs: Term, theta: JSubst):
+    """lhs - rhs under theta as (constant, {var: nonzero coefficient}), or None if non-linear.
 
-    Zero coefficients are dropped at every node, so 0 * x * y is linear.
+    One walk over an explicit stack: no term is rebuilt, and depth costs no
+    recursion.  A variable theta binds is read as its value, which is not
+    substituted into again: one simultaneous pass, as apply_subst makes.
+    A sum scales its operands on the way down.  A product reads its two
+    factors into accumulators of their own, and is linear when one of them
+    is left with no nonzero coefficient, so 0 * x * y is linear.  Numbers
+    stay ints while every value read is integral; a non-integral value
+    brings in Fractions.
     """
-    if isinstance(t, Val):
-        return Fraction(t.value), {}
-    if isinstance(t, Var):
-        return Fraction(0), {t.name: Fraction(1)}
-    if not (isinstance(t, App) and t.symbol in ("+", "-", "*")):
-        return None
-    left = _linear_form(t.args[0])
-    right = _linear_form(t.args[1])
-    if left is None or right is None:
-        return None
-    if t.symbol == "*":
-        if left[1] and right[1]:
-            return None
-        # one side is a constant k that scales the other
-        (k, _), (const, coeffs) = (left, right) if not left[1] else (right, left)
-        return k * const, {v: k * c for v, c in coeffs.items() if k * c != 0}
-    sign = 1 if t.symbol == "+" else -1
-    coeffs = dict(left[1])
-    for v, c in right[1].items():
-        coeffs[v] = coeffs.get(v, 0) + sign * c
-    return left[0] + sign * right[0], {v: c for v, c in coeffs.items() if c != 0}
+    get = theta.get
+    top = [0, {}]
+    # (term, scale, whether theta applies, accumulator [constant, coefficients]),
+    # or (the two factors' accumulators, scale, None, accumulator) to multiply out
+    stack = [(lhs, 1, True, top), (rhs, -1, True, top)]
+    while stack:
+        t, k, bound, acc = stack.pop()
+        if isinstance(t, App):
+            symbol = t.symbol
+            if symbol == "+" or symbol == "-":
+                a, b = t.args
+                stack.append((a, k, bound, acc))
+                stack.append((b, k if symbol == "+" else -k, bound, acc))
+            elif symbol == "*":
+                a, b = t.args
+                factors = ([0, {}], [0, {}])
+                stack.append((factors, k, None, acc))
+                stack.append((a, 1, bound, factors[0]))
+                stack.append((b, 1, bound, factors[1]))
+            else:
+                return None
+        elif isinstance(t, Var):
+            v = get(t.name) if bound else None
+            if v is None:
+                coeffs = acc[1]
+                coeffs[t.name] = coeffs.get(t.name, 0) + k
+            else:
+                stack.append((v, k, False, acc))
+        elif isinstance(t, Val):
+            n = t.value
+            acc[0] += k * (n.numerator if n.denominator == 1 else n)
+        else:
+            (ca, va), (cb, vb) = t
+            va = {v: c for v, c in va.items() if c}
+            vb = {v: c for v, c in vb.items() if c}
+            if va and vb:
+                return None
+            if va:  # the constant factor first
+                ca, va, cb, vb = cb, vb, ca, va
+            m = k * ca
+            acc[0] += m * cb
+            if m:
+                coeffs = acc[1]
+                for v, c in vb.items():
+                    coeffs[v] = coeffs.get(v, 0) + m * c
+    const, coeffs = top
+    return const, {v: c for v, c in coeffs.items() if c}
 
 
 def _affine_term(const: Fraction, coeffs: dict) -> Term:
@@ -187,9 +221,10 @@ def rewrite_linear(e: Eq, theta: JSubst, J: Algebra):
     ('drop',) for 0 = 0, ('fail',) for r = 0 with r nonzero, ('passive',)
     when products of variables survive, otherwise ('bind', theta') with
     theta' theta composed with the pivot x = u, x the lexicographically
-    first variable with a nonzero coefficient.
+    first variable with a nonzero coefficient.  Every number of the pivot's
+    value is a Fraction, as the algebra's own numbers are.
     """
-    form = _linear_form(App("-", (apply_subst(e.lhs, theta), apply_subst(e.rhs, theta))))
+    form = _linear_form(e.lhs, e.rhs, theta)
     if form is None:
         return _PASSIVE
     const, coeffs = form
@@ -197,7 +232,9 @@ def rewrite_linear(e: Eq, theta: JSubst, J: Algebra):
         return ("drop",) if const == 0 else ("fail",)
     x = min(coeffs)
     cx = coeffs[x]
-    u = _affine_term(-const / cx, {v: -c / cx for v, c in coeffs.items() if v != x})
+    u = _affine_term(
+        Fraction(-const, cx), {v: Fraction(-c, cx) for v, c in coeffs.items() if v != x}
+    )
     return ("bind", compose(theta, make_subst([(x, u)], J), J))
 
 
@@ -474,13 +511,21 @@ def get_policy(name: str) -> InferPolicy:
 # The store-free reference semantics
 
 
+_PROBE = Val(None)  # a value no term holds, for storeless_eval's occurrence test
+
+
 def storeless_eval(phi: Formula, theta: JSubst, J: Algebra):
     """The store-free reference semantics: a set of substitutions and errors.
 
     Atoms must be decidable under the current substitution or the whole
     evaluation degrades to the error state; the baseline policy embeds this
     semantics into the store-carrying evaluator.  Used as the reference
-    side of the embedding differential test.
+    side of the embedding differential test, so it decides atoms itself,
+    through the term layer only.  An equation binds its variable side when
+    that variable does not occur in the other side (the left side when both
+    are variables), holds when both sides have one J-value, and fails when
+    both are ground.  Any other atom holds or fails by its ground truth.  An
+    atom it cannot decide is error.
     """
     counter = [max_fresh_index(all_names(phi) | subst_names(theta))]
 
@@ -489,11 +534,21 @@ def storeless_eval(phi: Formula, theta: JSubst, J: Algebra):
         return f"$u{counter[0]}"
 
     def rec(f: Formula, th: JSubst):
-        if isinstance(f, (Atom, Eq, Neq, Bottom)):
-            out = []
-            for st in _literal_lift(f, th, J):
-                out.append(ERROR if st is ERROR else st.subst)
-            return dedup(out)
+        if isinstance(f, Bottom):
+            return ()
+        if isinstance(f, Eq):
+            sa = apply_subst(f.lhs, th)
+            ta = apply_subst(f.rhs, th)
+            if isinstance(ta, Var) and not isinstance(sa, Var):
+                sa, ta = ta, sa
+            # apply_subst gives a term back as itself iff it does not mention the name
+            if isinstance(sa, Var) and apply_subst(ta, {sa.name: _PROBE}) is ta:
+                return (compose(th, make_subst([(sa.name, ta)], J), J),)
+            if j_eval(sa, J) == j_eval(ta, J):
+                return (th,)
+        if isinstance(f, (Atom, Eq, Neq)):
+            truth = atom_truth(f, th, J)
+            return (ERROR,) if truth is None else (th,) if truth else ()
         if isinstance(f, And):
             out = []
             for r in rec(f.lhs, th):

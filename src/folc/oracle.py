@@ -203,20 +203,29 @@ def _int_candidates(formulas, bound: IntervalBound, boost: int, qd: int):
     enumerated interval for the shapes the corpus generates.  Quantified
     variables range over a wider interval: their witnesses are images of
     free values under the atoms, one slack step per nesting level (qd levels).
+
+    That reach is sized for coefficient 1.  The recheck of a would-be
+    violation (boost > 0) scales it by the largest coefficient mass among
+    the atoms, at most 4 by the guard: after x/y + y the witness of
+    exists y. x < y lies past 2y.  At boost 0 it stays as it is, so the
+    decisions of the first pass do not move.
     """
     atoms: list = []
     for f in formulas:
         _collect_atoms(f, atoms)
     span = max(abs(bound.lo), abs(bound.hi))
     max_const = 0
+    max_mass = 1
     for lhs, rhs in atoms:
         diff = _lin_diff(lhs, rhs)
         if diff is None:
             return None
         const, coeffs = diff
-        if sum(abs(c) for c in coeffs.values()) > 4:
+        mass = sum(abs(c) for c in coeffs.values())
+        if mass > 4:
             return None
         max_const = max(max_const, abs(const))
+        max_mass = max(max_mass, mass)
     if qd > 2:
         return None
     slack = max_const + span + 1 + boost
@@ -224,6 +233,8 @@ def _int_candidates(formulas, bound: IntervalBound, boost: int, qd: int):
         return None
     free = list(range(bound.lo - slack, bound.hi + slack + 1))
     reach = qd * (max_const + span + slack)
+    if boost > 0:
+        reach *= max_mass
     quant = list(range(bound.lo - slack - reach, bound.hi + slack + reach + 1))
     return free, quant
 

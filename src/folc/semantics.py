@@ -10,7 +10,7 @@ state afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import Algebra, subst_names
 from .infer import InferPolicy
@@ -35,18 +35,40 @@ from .syntax import (
 class EvalContext:
     """Evaluation environment: algebra, policy, fresh-name counter, trace sink.
 
-    The counter is primed past any $u<n> names already present in the
-    inputs, so issued names are globally unused.
+    Issued names are globally unused: the counter is moved past every
+    $u<n> name in the inputs of the evaluate calls made on this context.
+    That priming walks every name of the formula, store and substitution,
+    so it waits for the first fresh_name after the call, and an evaluation
+    that opens no quantifier never pays for it.  No name is issued between
+    an evaluate call and its first fresh_name, so the names are those that
+    priming at the call would give.  A call that finds the previous call's
+    inputs still waiting primes past them first, so at most one call's
+    inputs are held.
     """
 
     algebra: Algebra
     policy: InferPolicy
     fresh_counter: int = 0
     trace: object = None  # optional callable taking one dict per event
+    # the (formula, state) of the last evaluate call, until the counter is primed past it
+    _unprimed: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def fresh_name(self) -> str:
+        if self._unprimed is not None:
+            self._prime()
         self.fresh_counter += 1
         return f"$u{self.fresh_counter}"
+
+    def _begin(self, phi: Formula, sigma) -> None:
+        """Note the inputs of an evaluate call, priming past the earlier call's first."""
+        if self._unprimed is not None:
+            self._prime()
+        self._unprimed = (phi, sigma)
+
+    def _prime(self) -> None:
+        phi, sigma = self._unprimed
+        self._unprimed = None
+        _prime_counter(self, phi, sigma)
 
 
 def make_context(algebra: Algebra, policy: InferPolicy, trace=None) -> EvalContext:
@@ -65,7 +87,7 @@ def _prime_counter(ctx: EvalContext, phi: Formula, sigma) -> None:
 
 def evaluate(phi: Formula, sigma, ctx: EvalContext):
     """The meaning of phi in sigma: an answer set of states."""
-    _prime_counter(ctx, phi, sigma)
+    ctx._begin(phi, sigma)
     return _eval(phi, sigma, ctx)
 
 

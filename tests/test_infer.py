@@ -2,10 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folc import infer
-from folc.algebra import EMPTY_SUBST, JSubst, apply_subst, int_algebra, make_subst, parse_subst
+from folc.algebra import (
+    EMPTY_SUBST,
+    JSubst,
+    apply_subst,
+    compose,
+    int_algebra,
+    make_subst,
+    parse_subst,
+)
 from folc.corpus import persistence_corpus, soundness_corpus
 from folc.infer import (
     ATOMS,
@@ -26,8 +35,22 @@ from folc.infer import (
 )
 from folc.semantics import evaluate, make_context
 from folc.state import ERROR, Pair, Store, pair
-from folc.syntax import BOTTOM, And, Atom, Eq, Exists, Neq, Not, Or, Val, Var, free_vars, parse_formula
-from conftest import herb_terms
+from folc.syntax import (
+    BOTTOM,
+    And,
+    App,
+    Atom,
+    Eq,
+    Exists,
+    Neq,
+    Not,
+    Or,
+    Val,
+    Var,
+    free_vars,
+    parse_formula,
+)
+from conftest import herb_terms, rat_terms
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -415,6 +438,115 @@ class TestRewriteLinear:
     def test_rational_pivot(self, rat_alg):
         out = rewrite_linear(F("2 * x = 3", rat_alg), EMPTY_SUBST, rat_alg)
         assert out == ("bind", make_subst([("x", Val(Fraction(3, 2)))], rat_alg))
+
+
+def _reference_linear_form(t):
+    """(constant, {var: coefficient}) over Fractions, or None if non-linear."""
+    if isinstance(t, Val):
+        return Fraction(t.value), {}
+    if isinstance(t, Var):
+        return Fraction(0), {t.name: Fraction(1)}
+    if not (isinstance(t, App) and t.symbol in ("+", "-", "*")):
+        return None
+    left = _reference_linear_form(t.args[0])
+    right = _reference_linear_form(t.args[1])
+    if left is None or right is None:
+        return None
+    if t.symbol == "*":
+        if left[1] and right[1]:
+            return None
+        (k, _), (const, coeffs) = (left, right) if not left[1] else (right, left)
+        return k * const, {v: k * c for v, c in coeffs.items() if k * c != 0}
+    sign = 1 if t.symbol == "+" else -1
+    coeffs = dict(left[1])
+    for v, c in right[1].items():
+        coeffs[v] = coeffs.get(v, 0) + sign * c
+    return left[0] + sign * right[0], {v: c for v, c in coeffs.items() if c != 0}
+
+
+def reference_rewrite_linear(e, theta, J):
+    """rewrite_linear as apply_subst on both sides, then a recursive walk over Fractions."""
+    form = _reference_linear_form(App("-", (apply_subst(e.lhs, theta), apply_subst(e.rhs, theta))))
+    if form is None:
+        return ("passive",)
+    const, coeffs = form
+    if not coeffs:
+        return ("drop",) if const == 0 else ("fail",)
+    x = min(coeffs)
+    cx = coeffs[x]
+    u = infer._affine_term(-const / cx, {v: -c / cx for v, c in coeffs.items() if v != x})
+    return ("bind", compose(theta, make_subst([(x, u)], J), J))
+
+
+_bindings = st.lists(
+    st.tuples(st.sampled_from(("w", "x", "y", "z")), rat_terms()),
+    max_size=4,
+    unique_by=lambda p: p[0],
+)
+
+
+class TestRewriteLinearAgainstReference:
+    """The one-walk rewrite_linear against apply_subst and a recursive Fraction walk."""
+
+    @staticmethod
+    def same(e, theta, J):
+        out = rewrite_linear(e, theta, J)
+        ref = reference_rewrite_linear(e, theta, J)
+        assert out[0] == ref[0]
+        if out[0] == "bind":
+            assert out[1].bindings == ref[1].bindings
+            assert str(out[1]) == str(ref[1])
+            assert repr(out[1]) == repr(ref[1])
+        return out
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("0 * x * y = 1", ("fail",)),
+            ("(x - x) * y = 2", ("fail",)),
+            ("x * 0 = y", ("bind", "{y/0}")),
+            ("x * (y - y) = 0", ("drop",)),
+            ("(x - x) * (y * y) = 0", ("passive",)),
+        ],
+    )
+    def test_products_with_a_zero_factor(self, text, expected, rat_alg):
+        out = self.same(F(text, rat_alg), EMPTY_SUBST, rat_alg)
+        assert out[0] == expected[0]
+        if out[0] == "bind":
+            assert out[1] == parse_subst(expected[1], rat_alg)
+
+    def test_rational_pivot_holds_fractions(self, rat_alg):
+        out = self.same(F("2 * x + 3 * y = 1", rat_alg), EMPTY_SUBST, rat_alg)
+        assert str(out[1]) == "{x/1/2 - 3/2 * y}"
+        assert out[1].bindings == (
+            ("x", App("-", (Val(Fraction(1, 2)), App("*", (Val(Fraction(3, 2)), y))))),
+        )
+        assert "Fraction(1, 2)" in repr(out[1]) and "Fraction(3, 2)" in repr(out[1])
+
+    def test_integral_pivot_holds_fractions(self, rat_alg):
+        out = self.same(F("x - 2 * y = 4", rat_alg), EMPTY_SUBST, rat_alg)
+        assert str(out[1]) == "{x/4 + 2 * y}"
+        assert repr(out[1]).count("Fraction(") == 2 and "value=2)" not in repr(out[1])
+
+    def test_a_substituted_value_is_not_substituted_again(self, rat_alg):
+        # x's value mentions y, which theta binds too: x - 3 reads y + 1 - 3
+        theta = parse_subst("{x/y + 1, y/2}", rat_alg)
+        out = self.same(F("x = 3", rat_alg), theta, rat_alg)
+        assert out == ("bind", parse_subst("{x/3, y/2}", rat_alg))
+
+    @settings(max_examples=200)
+    @given(lhs=rat_terms(), rhs=rat_terms(), bindings=_bindings)
+    def test_random_equations_under_non_idempotent_theta(self, lhs, rhs, bindings, rat_alg):
+        # parsed from text, so a value may mention a bound name
+        theta = parse_subst("{" + ", ".join(f"{n}/{t}" for n, t in bindings) + "}", rat_alg)
+        self.same(Eq(lhs, rhs), theta, rat_alg)
+
+    def test_deep_sum_needs_no_recursion(self, rat_alg):
+        t = x
+        for _ in range(5000):
+            t = App("+", (t, Val(Fraction(1))))
+        out = rewrite_linear(Eq(t, Val(Fraction(0))), EMPTY_SUBST, rat_alg)
+        assert out == ("bind", make_subst([("x", Val(Fraction(-5000)))], rat_alg))
 
 
 class TestResolveVocabulary:

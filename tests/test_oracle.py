@@ -435,16 +435,30 @@ def test_oracle_stays_independent_of_the_code_it_checks():
     assert imported["semantics"] == {"make_context", "evaluate"}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="false preservation-validity violation: _int_candidates sizes the quantifier "
-    "reach for coefficient 1, but after x/y + y the witness of exists y. x < y must "
-    "exceed 2y",
-)
 def test_known_false_violation_quantifier_reach(int_alg):
+    # after x/y + y the witness of exists y. x < y must exceed 2y: the recheck's
+    # quantifier reach scales with the coefficient mass
     phi = F("exists y. x < y & x = y + y", int_alg)
     sigma = pair([F("~(y + y < y)", int_alg)], EMPTY_SUBST)
     report = check_soundness([(phi, sigma)], get_policy("literals"), int_alg, B)
+    assert report.passed, report.violations
+
+
+@pytest.mark.parametrize(
+    "policy, text, store",
+    [
+        ("atoms", "exists x. ((y - 2 < 0 | -1 = z) & x = y + z)", ["y = z + x"]),
+        ("literals", "exists y. y = z + x & z = x - y", []),
+        ("baseline", "exists y. y < x & y + y = x", []),
+        ("literals", "(1 < z | exists y. z + x = y - 1) & x = z + y", []),
+    ],
+)
+def test_quantifier_reach_of_the_recheck_covers_coefficient_mass(policy, text, store, int_alg):
+    # bench check-corpus ops check/3/913 and check/5/3524 at seed 29, check/2/7046
+    # at seed 75 and check/7/1314 at seed 82: a reach sized for coefficient 1
+    # misses their witnesses
+    sigma = pair([F(s, int_alg) for s in store], EMPTY_SUBST)
+    report = check_soundness([(F(text, int_alg), sigma)], get_policy(policy), int_alg, B)
     assert report.passed, report.violations
 
 

@@ -2,14 +2,15 @@ import random
 
 from hypothesis import given
 
-from folc.algebra import EMPTY_SUBST, JSubst, parse_subst
+from folc.algebra import EMPTY_SUBST, JSubst, make_subst, parse_subst
 from folc.corpus import gen_formula
 from folc.infer import get_policy
 from folc.oracle import IntervalBound, models
+from folc import semantics
 from folc.semantics import eval_set, evaluate, make_context
 from folc.state import ERROR, EMPTY_STORE, Pair, Store, pair
 from folc import syntax
-from folc.syntax import And, Not, parse_formula
+from folc.syntax import And, Not, parse_formula, parse_term
 from conftest import int_formulas
 
 B = IntervalBound(-3, 3)
@@ -157,6 +158,53 @@ class TestFreshNames:
         assert not any(
             "$u1 = 1" in e["formula"] for e in events if e["event"] == "clause"
         )
+
+    def test_quantifier_free_evaluation_never_primes(self, int_alg, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("primed with no fresh name issued")
+
+        monkeypatch.setattr(semantics, "_prime_counter", refuse)
+        store = Store([parse_formula("$u3 < z", int_alg.signature, allow_fresh=True)])
+        out = evaluate(
+            parse_formula("y = 1 & ~(y = 2) & (z = 2 | z = 5)", int_alg.signature),
+            Pair(store, EMPTY_SUBST),
+            make_context(int_alg, get_policy("literals")),
+        )
+        assert [str(s) for s in out] == ["<$u3 < z | {y/1, z/2}>", "<$u3 < z | {y/1, z/5}>"]
+
+    def test_names_issued_as_if_primed_at_each_call(self, int_alg):
+        # against a context primed past the inputs' $u<n> names before evaluation starts
+        rng = random.Random(15)
+        store = Store([parse_formula("$u4 < z", int_alg.signature, allow_fresh=True)])
+        value = parse_term("$u7 + 1", int_alg.signature, allow_fresh=True)
+        theta = make_subst([("y", value)], int_alg)
+        for k in range(40):
+            phi = gen_formula(rng, int_alg, 4)
+            sigma = Pair(store, theta if k % 2 else EMPTY_SUBST)
+            lazy_events, eager_events = [], []
+            lazy = make_context(int_alg, get_policy("literals"), trace=lazy_events.append)
+            eager = make_context(int_alg, get_policy("literals"), trace=eager_events.append)
+            semantics._prime_counter(eager, phi, sigma)
+            assert evaluate(phi, sigma, lazy) == semantics._eval(phi, sigma, eager)
+            assert lazy_events == eager_events
+
+    def test_two_calls_on_one_context(self, int_alg):
+        def names(ctx, text, store=()):
+            events = []
+            ctx.trace = events.append
+            fs = [parse_formula(f, int_alg.signature, allow_fresh=True) for f in store]
+            evaluate(parse_formula(text, int_alg.signature), Pair(Store(fs), EMPTY_SUBST), ctx)
+            clauses = {e["formula"] for e in events if e["event"] == "clause"}
+            return sorted(f for f in clauses if "$" in f)
+
+        ctx = make_context(int_alg, get_policy("atoms"))
+        assert names(ctx, "exists w. w = 1") == ["$u1 = 1"]
+        assert names(ctx, "exists w. w < z", ["$u5 < z"]) == ["$u6 < z"]
+        assert ctx.fresh_counter == 6
+        # a first call that issues no name still counts: its $u9 is passed too
+        ctx = make_context(int_alg, get_policy("atoms"))
+        assert names(ctx, "x = 1", ["$u9 < z"]) == []
+        assert names(ctx, "exists w. w < z", ["$u5 < z"]) == ["$u10 < z"]
 
     def test_trace_events_emitted(self, int_alg):
         events = []
