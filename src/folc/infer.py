@@ -511,9 +511,6 @@ def get_policy(name: str) -> InferPolicy:
 # The store-free reference semantics
 
 
-_PROBE = Val(None)  # a value no term holds, for storeless_eval's occurrence test
-
-
 def storeless_eval(phi: Formula, theta: JSubst, J: Algebra):
     """The store-free reference semantics: a set of substitutions and errors.
 
@@ -541,8 +538,7 @@ def storeless_eval(phi: Formula, theta: JSubst, J: Algebra):
             ta = apply_subst(f.rhs, th)
             if isinstance(ta, Var) and not isinstance(sa, Var):
                 sa, ta = ta, sa
-            # apply_subst gives a term back as itself iff it does not mention the name
-            if isinstance(sa, Var) and apply_subst(ta, {sa.name: _PROBE}) is ta:
+            if isinstance(sa, Var) and sa.name not in term_vars(ta):
                 return (compose(th, make_subst([(sa.name, ta)], J), J),)
             if j_eval(sa, J) == j_eval(ta, J):
                 return (th,)

@@ -57,6 +57,7 @@ from .syntax import (
 UNKNOWN = None
 
 _COST_CAP = 400_000
+_WIDENED_COST_CAP = 4_000_000  # for the recheck's wider quantifier windows; it runs only on a would-be violation
 _UNBOUND = object()
 
 
@@ -196,7 +197,7 @@ def _term_depth(t: Term) -> int:
 
 
 def _int_candidates(formulas, bound: IntervalBound, boost: int, qd: int):
-    """(free candidates, quantifier candidates) or None when the guard refuses.
+    """(free candidates, quantifier windows) or None when the guard refuses.
 
     Guard: every atom linear with small coefficient mass and a slack margin
     covering the query's constants, so truth cannot flip outside the
@@ -205,10 +206,13 @@ def _int_candidates(formulas, bound: IntervalBound, boost: int, qd: int):
     free values under the atoms, one slack step per nesting level (qd levels).
 
     That reach is sized for coefficient 1.  The recheck of a would-be
-    violation (boost > 0) scales it by the largest coefficient mass among
-    the atoms, at most 4 by the guard: after x/y + y the witness of
-    exists y. x < y lies past 2y.  At boost 0 it stays as it is, so the
-    decisions of the first pass do not move.
+    violation (boost > 0) may scale it by up to the largest coefficient mass
+    among the atoms, at most 4 by the guard: after x/y + y the witness of
+    exists y. x < y lies past 2y.  So the quantifier windows are ranges,
+    the unscaled one first, then the scaled one, and _enum_prepare takes
+    the widest its cost caps admit: a recheck is never refused where the
+    unscaled reach would be decided.  At boost 0 there is one window, so
+    the decisions of the first pass do not move.
     """
     atoms: list = []
     for f in formulas:
@@ -233,10 +237,8 @@ def _int_candidates(formulas, bound: IntervalBound, boost: int, qd: int):
         return None
     free = list(range(bound.lo - slack, bound.hi + slack + 1))
     reach = qd * (max_const + span + slack)
-    if boost > 0:
-        reach *= max_mass
-    quant = list(range(bound.lo - slack - reach, bound.hi + slack + reach + 1))
-    return free, quant
+    reaches = [reach, reach * max_mass] if boost > 0 and max_mass > 1 else [reach]
+    return free, [range(bound.lo - slack - r, bound.hi + slack + r + 1) for r in reaches]
 
 
 _GROUND_CACHE: dict = {}
@@ -280,7 +282,7 @@ def ground_terms(signature, depth: int, limit: int = _GROUND_LIMIT):
 
 
 def _herbrand_candidates(formulas, J: Algebra, bound: DepthBound, boost: int, qd: int, nfree: int):
-    """(free candidates, quantifier candidates) or None.
+    """(free candidates, [quantifier candidates]) or None.
 
     Minimal solutions of equation/disequation combinations are built from
     the query's term shapes, so free variables need depth covering one atom
@@ -294,7 +296,7 @@ def _herbrand_candidates(formulas, J: Algebra, bound: DepthBound, boost: int, qd
     has_functions = any(a > 0 for a in J.signature.functions.values())
     if not has_functions:
         cands = ground_terms(J.signature, 0)
-        return (cands, cands) if cands else None  # finite universe: exact
+        return (cands, [cands]) if cands else None  # finite universe: exact
     md = max((max(_term_depth(l), _term_depth(r)) for l, r in atoms), default=0)
     depth = max(bound.depth + boost, md * max(nfree, 1))
     while True:
@@ -309,7 +311,7 @@ def _herbrand_candidates(formulas, J: Algebra, bound: DepthBound, boost: int, qd
     quant = ground_terms(J.signature, depth + md * qd, limit=220)
     if quant is None:
         return None
-    return free, quant
+    return free, [quant]
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +390,11 @@ def _compile(f: Formula, J: Algebra, qcands: list):
 
 def _enum_prepare(formulas, J: Algebra, bound, boost: int):
     """(free variables of each formula, their sorted union, free candidates,
-    quantifier candidates), or None when the guard or the cost cap refuses."""
+    quantifier candidates), or None when the guard or the cost cap refuses.
+
+    The cost cap refuses by the narrowest quantifier window, so refusals are
+    those of the unscaled reach; the candidates are the widest window whose
+    cost stays within _WIDENED_COST_CAP."""
     fvs = [free_vars(f) for f in formulas]
     fv = sorted(set().union(*fvs))
     quants = [_quantifiers(f) for f in formulas]
@@ -399,14 +405,14 @@ def _enum_prepare(formulas, J: Algebra, bound, boost: int):
         sets = _herbrand_candidates(formulas, J, bound, boost, qd, len(fv))
     if sets is None:
         return None
-    free_cands, qcands = sets
+    free_cands, windows = sets
     nodes = sum(1 + len(str(f)) // 8 for f in formulas)
     cost = (len(free_cands) ** len(fv)) * max(1, nodes)
-    for _, count in quants:
-        cost *= len(qcands) ** count
-        if cost > _COST_CAP:
-            return None
-    return fvs, fv, free_cands, qcands
+    count = sum(count for _, count in quants)
+    if cost * len(windows[0]) ** count > _COST_CAP:
+        return None
+    qcands = next(w for w in reversed(windows) if cost * len(w) ** count <= _WIDENED_COST_CAP)
+    return fvs, fv, free_cands, list(qcands)
 
 
 def _enum_exists(formulas, fvs, fv, free_cands, J: Algebra, qcands):

@@ -435,11 +435,24 @@ def test_oracle_stays_independent_of_the_code_it_checks():
     assert imported["semantics"] == {"make_context", "evaluate"}
 
 
+def recheck_decides_failures_true(phi, sigma, policy, J):
+    """Whether every check failing at the first pass is decided True by the
+    recheck (boost 3), neither refused nor failed again."""
+    first, _ = oracle._case_checks(phi, sigma, policy, J, B, 0)
+    failing = [(name, detail()) for name, verdict, detail in first if verdict is False]
+    again, _ = oracle._case_checks(phi, sigma, policy, J, B, 3)
+    verdicts = {(name, detail()): verdict for name, verdict, detail in again}
+    return bool(failing) and all(verdicts.get(check) is True for check in failing)
+
+
 def test_known_false_violation_quantifier_reach(int_alg):
     # after x/y + y the witness of exists y. x < y must exceed 2y: the recheck's
     # quantifier reach scales with the coefficient mass
     phi = F("exists y. x < y & x = y + y", int_alg)
     sigma = pair([F("~(y + y < y)", int_alg)], EMPTY_SUBST)
+    answer = pair([F("~(y + y < y)", int_alg)], parse_subst("{x/y + y}", int_alg))
+    assert models(answer, phi.lhs, int_alg, B) is False
+    assert models(answer, phi.lhs, int_alg, B, 3) is True
     report = check_soundness([(phi, sigma)], get_policy("literals"), int_alg, B)
     assert report.passed, report.violations
 
@@ -456,10 +469,37 @@ def test_known_false_violation_quantifier_reach(int_alg):
 def test_quantifier_reach_of_the_recheck_covers_coefficient_mass(policy, text, store, int_alg):
     # bench check-corpus ops check/3/913 and check/5/3524 at seed 29, check/2/7046
     # at seed 75 and check/7/1314 at seed 82: a reach sized for coefficient 1
-    # misses their witnesses
+    # misses their witnesses; the recheck finds them, it does not give up
+    phi = F(text, int_alg)
     sigma = pair([F(s, int_alg) for s in store], EMPTY_SUBST)
-    report = check_soundness([(F(text, int_alg), sigma)], get_policy(policy), int_alg, B)
+    assert recheck_decides_failures_true(phi, sigma, get_policy(policy), int_alg)
+    report = check_soundness([(phi, sigma)], get_policy(policy), int_alg, B)
     assert report.passed, report.violations
+
+
+def test_recheck_widens_within_its_cost_cap(int_alg, monkeypatch):
+    # the first case's answer <y - 2 < 0 | {y/z + x}>: the window scaled by mass 4
+    # costs about 856,000, past the first pass's cap; held to that cap the recheck
+    # takes a narrower window, which misses the witness 2z + x
+    answer = pair([F("y - 2 < 0", int_alg)], parse_subst("{y/z + x}", int_alg))
+    phi = F("exists x. ((y - 2 < 0 | -1 = z) & x = y + z)", int_alg)
+    assert models(answer, phi, int_alg, B, 3) is True
+    monkeypatch.setattr(oracle, "_WIDENED_COST_CAP", oracle._COST_CAP)
+    assert models(answer, phi, int_alg, B, 3) is False
+
+
+def test_recheck_still_reports_a_violation_with_mass_above_one(int_alg, monkeypatch):
+    # y + y = z + z + 1 has no integer solution, however wide the recheck's window;
+    # a window scaled by mass 4 over z and w costs past the first pass's cap, so
+    # a recheck refused by that cap would turn this violation into a skip
+    wrong = (pair([F("w - 2 < 0", int_alg)], parse_subst("{x/z + z + 1 + w}", int_alg)),)
+    monkeypatch.setattr("folc.oracle.evaluate", lambda phi, sigma, ctx: wrong)
+    phi = F("exists y. y + y = x - w", int_alg)
+    report = check_soundness([(phi, pair((), EMPTY_SUBST))], get_policy("atoms"), int_alg, B)
+    assert [(v["criterion"], v["detail"]) for v in report.violations] == [
+        ("soundness-satisfaction", "<w - 2 < 0 | {x/z + z + 1 + w}> |= exists y. y + y = x - w")
+    ]
+    assert (report.decided, report.skipped_unknown) == (1, 0)
 
 
 class TestCheckSoundness:
