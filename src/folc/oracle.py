@@ -6,11 +6,18 @@ variables (re-enumerating quantifiers under the bound).  A syntactic guard
 decides whether the bounded verdict is exact; anything outside the guard
 comes back Unknown (None) rather than risking an unsound verdict.
 
-Each query is compiled once: every formula becomes a closure over an
-environment of variable values.  The free variables are then enumerated by
-backtracking, and each formula is tested as soon as its last free variable
-has a value, so one failing formula rules out every extension of the
-partial assignment.
+Each query is searched like a constraint problem.  Its formulas are split
+into conjuncts, and each conjunct is compiled once into a closure over an
+environment of variable values.  The free variables are enumerated by
+backtracking in fail-first order, and each conjunct is tested as soon as
+its last free variable has a value, so one failing conjunct rules out every
+extension of the partial assignment (Haralick and Elliott, "Increasing tree
+search efficiency for constraint satisfaction problems", Artificial
+Intelligence 14, 1980).  A quantifier remembers its verdict for each
+assignment of its own free variables, and an entailment does not search for the
+conclusion conjuncts that its premises already state.  None of this changes
+a verdict: which queries are admitted, and over which candidates, is
+decided before any of it.
 
 Over the exact rationals bounded enumeration cannot work (the order is
 dense), so linear queries are decided exactly by Fourier-Motzkin
@@ -26,6 +33,7 @@ rather than 2^k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -315,60 +323,75 @@ def _herbrand_candidates(formulas, J: Algebra, bound: DepthBound, boost: int, qd
 
 
 # ---------------------------------------------------------------------------
-# Bounded truth: each formula is compiled once into a closure over an
+# Bounded truth: each conjunct is compiled once into a closure over an
 # environment (a dict from variable names to carrier values)
+
+_NO_NAMES = frozenset()
 
 
 def _compile_term(t: Term, J: Algebra):
-    """(closure env -> the J-value of t, whether t is ground).
+    """(closure env -> the J-value of t, the names of t's variables).
 
-    Groundness is decided bottom-up: a ground subterm is evaluated once,
-    here, and its closure returns the value.
+    A ground subterm (no names) is evaluated once, here, and its closure
+    returns the value.
     """
     if isinstance(t, Var):
-        return itemgetter(t.name), False
+        return itemgetter(t.name), frozenset((t.name,))
     if isinstance(t, Val):
         value = t.value
-        return (lambda env: value), True
+        return (lambda env: value), _NO_NAMES
     fn = J.functions[t.symbol]
     args = [_compile_term(a, J) for a in t.args]
-    if all(ground for _, ground in args):
+    names = _NO_NAMES.union(*[n for _, n in args])
+    if not names:
         value = fn(*[a(None) for a, _ in args])
-        return (lambda env: value), True
+        return (lambda env: value), names
     if len(args) == 2:
-        (a, _), (b, b_ground) = args
-        if b_ground:  # x + 1: the constant is captured, not called
+        (a, _), (b, b_names) = args
+        if not b_names:  # x + 1: the constant is captured, not called
             value = b(None)
-            return (lambda env: fn(a(env), value)), False
-        return (lambda env: fn(a(env), b(env))), False
+            return (lambda env: fn(a(env), value)), names
+        return (lambda env: fn(a(env), b(env))), names
     args = [a for a, _ in args]
-    return (lambda env: fn(*[a(env) for a in args])), False
+    return (lambda env: fn(*[a(env) for a in args])), names
 
 
 def _compile(f: Formula, J: Algebra, qcands: list):
-    """The truth of f as a closure env -> bool; quantifiers range over qcands."""
+    """(the truth of f as a closure env -> bool, f's free variables).
+
+    Quantifiers range over qcands.  Each exists keeps, for the closure's
+    life, a memo from the values of its own free variables to its verdict:
+    the verdict is a pure function of those values.
+    """
     if isinstance(f, (Eq, Neq)):
-        (lhs, _), (rhs, _) = _compile_term(f.lhs, J), _compile_term(f.rhs, J)
+        (lhs, ln), (rhs, rn) = _compile_term(f.lhs, J), _compile_term(f.rhs, J)
         if isinstance(f, Eq):
-            return lambda env: lhs(env) == rhs(env)
-        return lambda env: lhs(env) != rhs(env)
+            return (lambda env: lhs(env) == rhs(env)), ln | rn
+        return (lambda env: lhs(env) != rhs(env)), ln | rn
     if isinstance(f, Atom):
         truth = J.relations[f.rel]
-        (a, _), (b, _) = (_compile_term(t, J) for t in f.args)  # every atom is binary
-        return lambda env: truth(a(env), b(env))
+        (a, an), (b, bn) = (_compile_term(t, J) for t in f.args)  # every atom is binary
+        return (lambda env: truth(a(env), b(env))), an | bn
     if isinstance(f, Not):
-        body = _compile(f.body, J, qcands)
-        return lambda env: not body(env)
-    if isinstance(f, And):
-        lhs, rhs = _compile(f.lhs, J, qcands), _compile(f.rhs, J, qcands)
-        return lambda env: lhs(env) and rhs(env)
-    if isinstance(f, Or):
-        lhs, rhs = _compile(f.lhs, J, qcands), _compile(f.rhs, J, qcands)
-        return lambda env: lhs(env) or rhs(env)
+        body, names = _compile(f.body, J, qcands)
+        return (lambda env: not body(env)), names
+    if isinstance(f, (And, Or)):
+        (lhs, ln), (rhs, rn) = _compile(f.lhs, J, qcands), _compile(f.rhs, J, qcands)
+        if isinstance(f, And):
+            return (lambda env: lhs(env) and rhs(env)), ln | rn
+        return (lambda env: lhs(env) or rhs(env)), ln | rn
     if isinstance(f, Exists):
-        var, body = f.var, _compile(f.body, J, qcands)
+        var = f.var
+        body, body_names = _compile(f.body, J, qcands)
+        names = body_names - {var}
+        key = itemgetter(*names) if names else (lambda env: None)
+        memo = {}
 
         def exists(env):
+            k = key(env)
+            found = memo.get(k)
+            if found is not None:
+                return found
             shadowed = env.get(var, _UNBOUND)
             found = False
             for d in qcands:
@@ -380,23 +403,43 @@ def _compile(f: Formula, J: Algebra, qcands: list):
                 env.pop(var, None)
             else:
                 env[var] = shadowed
+            memo[k] = found
             return found
 
-        return exists
+        return exists, names
     if isinstance(f, Bottom):
-        return lambda env: False
+        return (lambda env: False), _NO_NAMES
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _conjuncts(formulas) -> list:
+    """The conjuncts of the conjunction of formulas, left to right.
+
+    A & B splits into A and B, ~(A | B) into ~A and ~B, and ~~A is A.
+    """
+    out = []
+    stack = list(reversed(formulas))
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack += (f.rhs, f.lhs)
+        elif isinstance(f, Not) and isinstance(f.body, Or):
+            stack += (Not(f.body.rhs), Not(f.body.lhs))
+        elif isinstance(f, Not) and isinstance(f.body, Not):
+            stack.append(f.body.body)
+        else:
+            out.append(f)
+    return out
+
+
 def _enum_prepare(formulas, J: Algebra, bound, boost: int):
-    """(free variables of each formula, their sorted union, free candidates,
-    quantifier candidates), or None when the guard or the cost cap refuses.
+    """(the sorted free variables of the formulas, free candidates, quantifier
+    candidates), or None when the guard or the cost cap refuses.
 
     The cost cap refuses by the narrowest quantifier window, so refusals are
     those of the unscaled reach; the candidates are the widest window whose
     cost stays within _WIDENED_COST_CAP."""
-    fvs = [free_vars(f) for f in formulas]
-    fv = sorted(set().union(*fvs))
+    fv = sorted(set().union(*[free_vars(f) for f in formulas]))
     quants = [_quantifiers(f) for f in formulas]
     qd = max((depth for depth, _ in quants), default=0)
     if isinstance(bound, IntervalBound):
@@ -412,29 +455,42 @@ def _enum_prepare(formulas, J: Algebra, bound, boost: int):
     if cost * len(windows[0]) ** count > _COST_CAP:
         return None
     qcands = next(w for w in reversed(windows) if cost * len(w) ** count <= _WIDENED_COST_CAP)
-    return fvs, fv, free_cands, list(qcands)
+    return fv, free_cands, list(qcands)
 
 
-def _enum_exists(formulas, fvs, fv, free_cands, J: Algebra, qcands):
-    """Is there an assignment of free_cands to fv under which every formula holds?
+def _enum_exists(formulas, free_cands, J: Algebra, qcands):
+    """Is there an assignment of free_cands to the free variables under which
+    every formula holds?
 
-    fvs holds the free variables of each formula.  Backtracking over fv in
-    order: each compiled formula is tested as soon as its last free variable
-    has a value, closed formulas before anything is bound, so a failing
-    formula prunes every extension of the partial assignment at once.
+    Backtracking with one test per conjunct: each conjunct is compiled on
+    its own and tested as soon as its last free variable has a value, ground
+    ones before anything is bound, so a failing conjunct prunes every
+    extension of the partial assignment at once.  Variables are bound fail
+    first: those with the most single-variable conjuncts, then the most
+    conjuncts, then by name.  The order cannot change the verdict, an
+    existential over a finite product; nor can leaving out a variable that
+    no conjunct mentions, since free_cands is never empty.
     """
-    level = {v: i + 1 for i, v in enumerate(fv)}
-    tests = [[] for _ in range(len(fv) + 1)]
-    for f, names in zip(formulas, fvs):
-        tests[max((level[v] for v in names), default=0)].append(_compile(f, J, qcands))
+    tests = [_compile(f, J, qcands) for f in _conjuncts(formulas)]
+    unary, total = {}, {}
+    for _, names in tests:
+        for v in names:
+            total[v] = total.get(v, 0) + 1
+            if len(names) == 1:
+                unary[v] = unary.get(v, 0) + 1
+    order = sorted(total, key=lambda v: (-unary.get(v, 0), -total[v], v))
+    level = {v: i + 1 for i, v in enumerate(order)}
+    by_level = [[] for _ in range(len(order) + 1)]
+    for test, names in tests:
+        by_level[max([level[v] for v in names], default=0)].append(test)
     env = {}
-    if not all(test(env) for test in tests[0]):
+    if not all(test(env) for test in by_level[0]):
         return False
 
     def extend(i):
-        if i == len(fv):
+        if i == len(order):
             return True
-        var, here = fv[i], tests[i + 1]
+        var, here = order[i], by_level[i + 1]
         for d in free_cands:
             env[var] = d
             for test in here:
@@ -449,19 +505,30 @@ def _enum_exists(formulas, fvs, fv, free_cands, J: Algebra, qcands):
 
 
 def _enum_entails(premises, conclusion, J: Algebra, bound, boost: int):
+    """Bounded entailment: no assignment satisfies the premises and ~conclusion.
+
+    Once the query is admitted, the conclusion's conjuncts that a premise
+    conjunct already states are dropped: under the premises ~(C1 & ... & Cn)
+    holds iff the negated conjunction of the others does.  When none is
+    left there is nothing to search.
+    """
     prep = _enum_prepare(list(premises) + [conclusion], J, bound, boost)
     if prep is None:
         return UNKNOWN
-    fvs, fv, free_cands, qcands = prep  # ~conclusion has the free variables of conclusion
-    return not _enum_exists(list(premises) + [Not(conclusion)], fvs, fv, free_cands, J, qcands)
+    _, free_cands, qcands = prep
+    stated = _conjuncts(premises)
+    left = [c for c in _conjuncts([conclusion]) if c not in stated]
+    if not left:
+        return True
+    return not _enum_exists(stated + [Not(functools.reduce(And, left))], free_cands, J, qcands)
 
 
 def _enum_sat(formulas, J: Algebra, bound, boost: int):
     prep = _enum_prepare(list(formulas), J, bound, boost)
     if prep is None:
         return UNKNOWN
-    fvs, fv, free_cands, qcands = prep
-    return _enum_exists(list(formulas), fvs, fv, free_cands, J, qcands)
+    _, free_cands, qcands = prep
+    return _enum_exists(list(formulas), free_cands, J, qcands)
 
 
 # ---------------------------------------------------------------------------

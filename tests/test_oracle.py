@@ -261,7 +261,7 @@ def _ref_assignments(formulas, J, bound):
     prep = _enum_prepare(formulas, J, bound, 0)
     if prep is None:
         return None
-    _, fv, free_cands, qcands = prep
+    fv, free_cands, qcands = prep
     return qcands, (dict(zip(fv, c)) for c in itertools.product(free_cands, repeat=len(fv)))
 
 
@@ -299,9 +299,10 @@ def _oracle_queries(J, policy, seed, n):
     "J, policy, bound",
     [
         (int_algebra(), "literals", IntervalBound(-3, 3)),
+        (int_algebra(), "atoms", IntervalBound(-3, 3)),  # its stores restate conclusions
         (herbrand_algebra([("f", 1), ("a", 0), ("b", 0)]), "diseq", DepthBound(3)),
     ],
-    ids=["int", "herbrand"],
+    ids=["int", "int-atoms", "herbrand"],
 )
 def test_compiled_search_matches_reference_walk(J, policy, bound):
     decided = 0
@@ -314,6 +315,28 @@ def test_compiled_search_matches_reference_walk(J, policy, bound):
         assert got is want, (premises, conclusion)
         decided += want is not None
     assert decided >= 2000
+
+
+def test_conjuncts_split_only_what_a_conjunction_states(int_alg):
+    a, b, c = (F(t, int_alg) for t in ("x = 1", "y < 2", "z /= 3"))
+    assert oracle._conjuncts([And(a, Not(Or(b, Not(Not(c)))))]) == [a, Not(b), Not(c)]
+    assert oracle._conjuncts([Not(And(a, b)), Or(a, b), Not(Not(And(b, c)))]) == [
+        Not(And(a, b)),
+        Or(a, b),
+        b,
+        c,
+    ]
+
+
+def test_cost_cap_decides_before_a_restated_conclusion(int_alg):
+    # five variables over 15 candidates each cost past _COST_CAP: the query is
+    # refused although its conclusion is one of its premises, so the decided
+    # and skipped counts stay those of the cap alone
+    chain = F("x < y & y < z & z < u & u < w", int_alg)
+    assert _enum_entails([chain], chain, int_alg, B, 0) is None
+    assert models(pair([chain], EMPTY_SUBST), chain, int_alg, B) is None
+    short = F("x < y & y < z", int_alg)
+    assert _enum_entails([short], short.lhs, int_alg, B, 0) is True
 
 
 def _ref_fm_feasible(rows):
@@ -393,7 +416,9 @@ def _assert_compiled_matches_walk(phi, drawn, J, qcands):
     fv = free_vars(phi)
     env = {v: d for v, d in values.items() if v in fv or keep[v]}
     before = dict(env)
-    assert _compile(phi, J, qcands)(env) is _ref_truth(phi, dict(env), J, qcands)
+    test, names = _compile(phi, J, qcands)
+    assert names == fv
+    assert test(env) is _ref_truth(phi, dict(env), J, qcands)
     assert env == before
 
 
@@ -406,6 +431,23 @@ class TestCompiledTruth:
     def test_herbrand_closure_matches_walk(self, phi, drawn, herb):
         _assert_compiled_matches_walk(phi, drawn, herb, _HERB_Q)
 
+    def test_exists_memo_keys_on_every_free_variable(self, int_alg):
+        # one closure, called on environments that differ in x or z only: the
+        # first exists reads the free x and z, the last one reads z and the x
+        # that its enclosing binder shadows, which tries x = z + 1 (no y) before
+        # x = z + 2; a memo key that left out any of these names would hand a
+        # later call, or a later witness, an earlier one's verdict
+        phi = F("(exists y. y + y = x + z) & exists x. (z < x & exists y. y + y = x + z)", int_alg)
+        qcands = list(range(-4, 5))
+        test, _ = _compile(phi, int_alg, qcands)
+        verdicts = []
+        for vx, vz in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 0)]:
+            env = {"x": vx, "z": vz}
+            verdicts.append(test(env))
+            assert verdicts[-1] is _ref_truth(phi, dict(env), int_alg, qcands)
+            assert env == {"x": vx, "z": vz}
+        assert verdicts == [True, False, False, True, True, True]
+
     def test_nested_exists_shadowing_restores_environment(self, int_alg):
         # exists x. ((exists x. x = 3) & x = y + 1), then x = 0 on the free x:
         # the inner binder must hand the outer witness 2 back, and the outer
@@ -414,10 +456,10 @@ class TestCompiledTruth:
         outer = Exists("x", And(inner, Eq(x, App("+", (y, Val(1))))))
         qcands = list(range(-3, 4))
         env = {"x": 0, "y": 1}
-        assert _compile(And(outer, Eq(x, Val(0))), int_alg, qcands)(env) is True
+        assert _compile(And(outer, Eq(x, Val(0))), int_alg, qcands)[0](env) is True
         assert env == {"x": 0, "y": 1}
         unbound = {"y": 1}
-        assert _compile(outer, int_alg, qcands)(unbound) is True
+        assert _compile(outer, int_alg, qcands)[0](unbound) is True
         assert unbound == {"y": 1}
 
 
