@@ -13,11 +13,9 @@ from functools import cached_property, partial
 from operator import add, eq, itemgetter, le, lt, mul, ne, sub
 
 from .syntax import (
+    ATOM_TYPES,
     App,
-    Atom,
     Bottom,
-    Eq,
-    Neq,
     Not,
     Signature,
     Term,
@@ -344,14 +342,10 @@ def parse_subst(text: str, J: Algebra) -> JSubst:
 
 def atom_truth(atom, theta: JSubst, J: Algebra):
     """Truth of an atom or (dis)equation under theta: True, False, or None (non-ground)."""
-    if isinstance(atom, Atom):
-        rel, args = atom.rel, atom.args
-    else:
-        rel, args = ("=" if isinstance(atom, Eq) else "/="), (atom.lhs, atom.rhs)
-    applied = [apply_subst(a, theta) for a in args]
-    if not all(term_is_ground(a) for a in applied):
+    lhs, rhs = apply_subst(atom.lhs, theta), apply_subst(atom.rhs, theta)
+    if not (term_is_ground(lhs) and term_is_ground(rhs)):
         return None
-    return J.relations[rel](*[eval_ground(a, J) for a in applied])
+    return J.relations[atom.rel](eval_ground(lhs, J), eval_ground(rhs, J))
 
 
 def literal_truth(f, theta: JSubst, J: Algebra):
@@ -361,7 +355,7 @@ def literal_truth(f, theta: JSubst, J: Algebra):
     """
     if isinstance(f, Bottom):
         return False
-    if isinstance(f, (Atom, Eq, Neq)):
+    if isinstance(f, ATOM_TYPES):
         return atom_truth(f, theta, J)
     if isinstance(f, Not):
         inner = literal_truth(f.body, theta, J)

@@ -36,9 +36,9 @@ def _int_atom(rng: random.Random, names):
     if r < 0.45:
         return Eq(s, t)
     if r < 0.65:
-        return Atom("<", (s, t))
+        return Atom("<", s, t)
     if r < 0.8:
-        return Atom("<=", (s, t))
+        return Atom("<=", s, t)
     return Neq(s, t)
 
 

@@ -13,13 +13,15 @@ store is error), and one resolve rule, one subclass per rule (unification,
 literal truth, disequations, Gaussian pivoting).  The admission tests are
 isinstance tests on the formula and, for a negation, on its body.
 
-Every decision on one constraint, by a resolve rule, by equation_step or by
-rewrite_linear, answers in one vocabulary: ('bind', theta') with the new
-substitution, ('drop',), ('fail',) or ('passive',) when the constraint
-cannot be decided yet.  The baseline reads passive as error.
-StorePolicy.step resolves every constraint of the store once and acts on
-the last active one; aux reaches the same fixpoint as repeating step,
-resolving again only the constraints a binding touches.
+Every atom reads as its relation and two sides (f.rel, f.lhs, f.rhs), and
+the algebra's relations table decides it.  Every decision on one
+constraint, by a resolve rule, by equation_step or by rewrite_linear,
+answers in one vocabulary: ('bind', theta') with the new substitution,
+('drop',), ('fail',) or ('passive',) when the constraint cannot be decided
+yet.  The baseline reads passive as error.  aux reaches the fixpoint of a
+repeated step (resolve every constraint once, act on the last active one)
+but resolves again only the constraints a binding touches; that step is
+the test reference in tests/test_infer.py.
 """
 
 from __future__ import annotations
@@ -42,13 +44,14 @@ from .state import (
     ERROR,
     Classification,
     Pair,
-    Store,
     classify,
     dedup,
     drop_subst,
     pair,
 )
 from .syntax import (
+    ATOM_TYPES,
+    ATOMIC_TYPES,
     And,
     App,
     Atom,
@@ -271,11 +274,12 @@ def _watched(f: Formula) -> frozenset:
 
 
 def aux(policy: StorePolicy, sigma, J: Algebra):
-    """Maximal repetition of policy.step: () on fail, else the fixpoint state.
+    """Maximal repetition of one step: () on fail, else the fixpoint state.
 
-    Each round acts as step does, on the last active constraint, and leaves
-    the passive constraints followed by the remaining active ones; but a
-    verdict is kept across rounds until a bind may have moved it.  resolve
+    Each round acts as the step of tests/test_infer.py does, on the last
+    active constraint, and leaves the passive constraints followed by the
+    remaining active ones; but a verdict is kept across rounds until a bind
+    may have moved it.  resolve
     reads theta only through the values of the constraint's free variables,
     so its verdict holds until a bind gives one of those names another value
     object or binds or unbinds it (compose keeps every untouched binding as
@@ -337,30 +341,6 @@ class StorePolicy(InferPolicy):
     def resolve(self, f: Formula, theta: JSubst, J: Algebra):
         """('bind', theta') | ('drop',) | ('fail',) | ('passive',) for one constraint."""
         raise NotImplementedError
-
-    def step(self, sigma, J: Algebra):
-        """One round: resolve every constraint once and act on the last active one.
-
-        Returns sigma itself when no constraint is active, None when the last
-        active one fails, and otherwise the state with the passive constraints
-        followed by the remaining active ones, in store order.
-        """
-        passive = []
-        active = []
-        outcome = None
-        for f in sigma.store:
-            resolved = self.resolve(f, sigma.subst, J)
-            if resolved[0] == "passive":
-                passive.append(f)
-            else:
-                active.append(f)
-                outcome = resolved
-        if outcome is None:
-            return sigma
-        if outcome[0] == "fail":
-            return None
-        subst = outcome[1] if outcome[0] == "bind" else sigma.subst
-        return Pair(Store(passive + active[:-1]), subst)
 
     def apply(self, sigma, J: Algebra):
         """aux on an admitted store; otherwise () if classify finds it inconsistent, else error.
@@ -476,7 +456,7 @@ def baseline_infer(sigma, J: Algebra):
         return (sigma,)
     if len(sigma.store) == 1:
         f = sigma.store.items[0]
-        if isinstance(f, (Atom, Eq, Neq, Bottom)):
+        if isinstance(f, ATOMIC_TYPES):
             return _literal_lift(f, sigma.subst, J)
     return (ERROR,)
 
@@ -542,7 +522,7 @@ def storeless_eval(phi: Formula, theta: JSubst, J: Algebra):
                 return (compose(th, make_subst([(sa.name, ta)], J), J),)
             if j_eval(sa, J) == j_eval(ta, J):
                 return (th,)
-        if isinstance(f, (Atom, Eq, Neq)):
+        if isinstance(f, ATOM_TYPES):
             truth = atom_truth(f, th, J)
             return (ERROR,) if truth is None else (th,) if truth else ()
         if isinstance(f, And):

@@ -43,14 +43,12 @@ from .algebra import Algebra, JSubst, apply_subst, j_eval
 from .semantics import make_context, evaluate
 from .state import ERROR, Pair, cons, cons_plus, drop_subst
 from .syntax import (
+    ATOM_TYPES,
     And,
     App,
-    Atom,
     Bottom,
-    Eq,
     Exists,
     Formula,
-    Neq,
     Not,
     Or,
     Term,
@@ -60,6 +58,7 @@ from .syntax import (
     free_vars,
     rename_free,
     term_vars,
+    with_sides,
 )
 
 UNKNOWN = None
@@ -98,12 +97,8 @@ def subst_formula(f: Formula, theta: JSubst, J: Algebra, _fresh=None) -> Formula
         return f
     if _fresh is None:
         _fresh = itertools.count(1)
-    if isinstance(f, Eq):
-        return Eq(j_eval(apply_subst(f.lhs, theta), J), j_eval(apply_subst(f.rhs, theta), J))
-    if isinstance(f, Neq):
-        return Neq(j_eval(apply_subst(f.lhs, theta), J), j_eval(apply_subst(f.rhs, theta), J))
-    if isinstance(f, Atom):
-        return Atom(f.rel, tuple(j_eval(apply_subst(a, theta), J) for a in f.args))
+    if isinstance(f, ATOM_TYPES):
+        return with_sides(f, j_eval(apply_subst(f.lhs, theta), J), j_eval(apply_subst(f.rhs, theta), J))
     if isinstance(f, Not):
         return Not(subst_formula(f.body, theta, J, _fresh))
     if isinstance(f, And):
@@ -135,10 +130,8 @@ def subst_formula(f: Formula, theta: JSubst, J: Algebra, _fresh=None) -> Formula
 
 def _collect_atoms(f: Formula, out: list) -> None:
     """Gather the (lhs, rhs) sides of f's atoms into out; Bottom carries none."""
-    if isinstance(f, (Eq, Neq)):
+    if isinstance(f, ATOM_TYPES):
         out.append((f.lhs, f.rhs))
-    elif isinstance(f, Atom):
-        out.append(f.args)
     elif isinstance(f, (Not, Exists)):
         _collect_atoms(f.body, out)
     elif isinstance(f, (And, Or)):
@@ -205,7 +198,7 @@ def _term_depth(t: Term) -> int:
 
 
 def _int_candidates(formulas, bound: IntervalBound, boost: int, qd: int):
-    """(free candidates, quantifier windows) or None when the guard refuses.
+    """(free candidates, quantifier windows), all ranges, or None when the guard refuses.
 
     Guard: every atom linear with small coefficient mass and a slack margin
     covering the query's constants, so truth cannot flip outside the
@@ -243,7 +236,7 @@ def _int_candidates(formulas, bound: IntervalBound, boost: int, qd: int):
     slack = max_const + span + 1 + boost
     if slack > 4 * span + 10:
         return None
-    free = list(range(bound.lo - slack, bound.hi + slack + 1))
+    free = range(bound.lo - slack, bound.hi + slack + 1)
     reach = qd * (max_const + span + slack)
     reaches = [reach, reach * max_mass] if boost > 0 and max_mass > 1 else [reach]
     return free, [range(bound.lo - slack - r, bound.hi + slack + r + 1) for r in reaches]
@@ -356,22 +349,17 @@ def _compile_term(t: Term, J: Algebra):
     return (lambda env: fn(*[a(env) for a in args])), names
 
 
-def _compile(f: Formula, J: Algebra, qcands: list):
+def _compile(f: Formula, J: Algebra, qcands):
     """(the truth of f as a closure env -> bool, f's free variables).
 
     Quantifiers range over qcands.  Each exists keeps, for the closure's
     life, a memo from the values of its own free variables to its verdict:
     the verdict is a pure function of those values.
     """
-    if isinstance(f, (Eq, Neq)):
-        (lhs, ln), (rhs, rn) = _compile_term(f.lhs, J), _compile_term(f.rhs, J)
-        if isinstance(f, Eq):
-            return (lambda env: lhs(env) == rhs(env)), ln | rn
-        return (lambda env: lhs(env) != rhs(env)), ln | rn
-    if isinstance(f, Atom):
+    if isinstance(f, ATOM_TYPES):
         truth = J.relations[f.rel]
-        (a, an), (b, bn) = (_compile_term(t, J) for t in f.args)  # every atom is binary
-        return (lambda env: truth(a(env), b(env))), an | bn
+        (lhs, ln), (rhs, rn) = _compile_term(f.lhs, J), _compile_term(f.rhs, J)
+        return (lambda env: truth(lhs(env), rhs(env))), ln | rn
     if isinstance(f, Not):
         body, names = _compile(f.body, J, qcands)
         return (lambda env: not body(env)), names
@@ -455,7 +443,7 @@ def _enum_prepare(formulas, J: Algebra, bound, boost: int):
     if cost * len(windows[0]) ** count > _COST_CAP:
         return None
     qcands = next(w for w in reversed(windows) if cost * len(w) ** count <= _WIDENED_COST_CAP)
-    return fv, free_cands, list(qcands)
+    return fv, free_cands, qcands
 
 
 def _enum_exists(formulas, free_cands, J: Algebra, qcands):
@@ -537,29 +525,21 @@ def _enum_sat(formulas, J: Algebra, bound, boost: int):
 _DNF_CAP = 256
 
 
-def _rat_literal_rows(f: Formula, positive: bool):
-    """Rows (coeffs, const, rel) meaning coeffs.x + const REL 0, or None.
+# ~(l REL r) is r NEG l: a negated l < r is read as r <= l, a negated l <= r as r < l.
+_NEGATION = {"=": "/=", "/=": "=", "<": "<=", "<=": "<"}
 
-    A negated l < r is read as r <= l, and a negated l <= r as r < l.
-    """
-    if isinstance(f, (Eq, Neq)):
-        rel = "=" if isinstance(f, Eq) == positive else "!="
-        lhs, rhs = f.lhs, f.rhs
-    elif isinstance(f, Atom) and f.rel in ("<", "<="):
-        lhs, rhs = f.args
-        rel = f.rel
-        if not positive:
-            lhs, rhs = rhs, lhs
-            rel = "<=" if rel == "<" else "<"
-    elif isinstance(f, Bottom):
+
+def _rat_literal_rows(f: Formula, positive: bool):
+    """Rows (coeffs, const, rel) meaning coeffs.x + const REL 0, or None."""
+    if isinstance(f, Bottom):
         return [({}, 1 if positive else 0, "=" if positive else "<=")]
-    else:
+    if not isinstance(f, ATOM_TYPES):
         return None
-    diff = _lin_diff(lhs, rhs)
+    diff = _lin_diff(f.lhs, f.rhs) if positive else _lin_diff(f.rhs, f.lhs)
     if diff is None:
         return None
     const, coeffs = diff
-    return [(coeffs, const, rel)]
+    return [(coeffs, const, f.rel if positive else _NEGATION[f.rel])]
 
 
 def _rat_dnf(f: Formula, positive: bool):
@@ -610,9 +590,9 @@ def _fm_eliminate(rows, var):
 
 
 def _fm_feasible(rows) -> bool:
-    """Feasibility over Q of a conjunction of {<, <=, =, !=} rows.
+    """Feasibility over Q of a conjunction of {<, <=, =, /=} rows.
 
-    The disequations are checked one at a time, each e != 0 as e < 0 or
+    The disequations are checked one at a time, each e /= 0 as e < 0 or
     -e < 0 next to the other rows; the module docstring says why that is
     exact.
     """
@@ -621,12 +601,12 @@ def _fm_feasible(rows) -> bool:
         if rel == "=":
             base.append((coeffs, const, "<="))
             base.append(({v: -c for v, c in coeffs.items()}, -const, "<="))
-        elif rel != "!=":
+        elif rel != "/=":
             base.append((coeffs, const, rel))
     if not _fm_feasible_base(base):
         return False
     for coeffs, const, rel in rows:
-        if rel == "!=":
+        if rel == "/=":
             neg = {v: -c for v, c in coeffs.items()}
             if not (
                 _fm_feasible_base(base + [(coeffs, const, "<")])

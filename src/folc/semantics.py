@@ -16,13 +16,10 @@ from .algebra import Algebra, subst_names
 from .infer import InferPolicy
 from .state import ERROR, Pair, cons, cons_plus, dedup, drop_state
 from .syntax import (
+    ATOMIC_TYPES,
     And,
-    Atom,
-    Bottom,
-    Eq,
     Exists,
     Formula,
-    Neq,
     Not,
     Or,
     all_names,
@@ -132,7 +129,7 @@ def _eval_clause(phi: Formula, sigma, ctx: EvalContext):
     if sigma is ERROR:
         return (ERROR,)  # there is no recovery from error
     J = ctx.algebra
-    if isinstance(phi, (Atom, Eq, Neq, Bottom)):
+    if isinstance(phi, ATOMIC_TYPES):
         return dedup(_infer(Pair(sigma.store.add(phi), sigma.subst), ctx))
     if isinstance(phi, Or):
         return dedup(_eval(phi.lhs, sigma, ctx) + _eval(phi.rhs, sigma, ctx))

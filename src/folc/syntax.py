@@ -103,14 +103,18 @@ class Formula:
 
 @dataclass(frozen=True)
 class Atom(Formula):
+    """An order comparison, lhs < rhs or lhs <= rhs."""
+
     rel: str
-    args: tuple[Term, ...]
+    lhs: Term
+    rhs: Term
 
 
 @dataclass(frozen=True)
 class Eq(Formula):
     lhs: Term
     rhs: Term
+    rel = "="
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,7 @@ class Neq(Formula):
 
     lhs: Term
     rhs: Term
+    rel = "/="
 
 
 @dataclass(frozen=True)
@@ -146,10 +151,17 @@ class Exists(Formula):
 
 @dataclass(frozen=True)
 class Bottom(Formula):
-    """The always-false formula; never produced by the parser from user text."""
+    """The always-false formula, read from the keyword `false`."""
 
 
 BOTTOM = Bottom()
+ATOM_TYPES = (Atom, Eq, Neq)  # every atom reads as f.rel, f.lhs and f.rhs
+ATOMIC_TYPES = (*ATOM_TYPES, Bottom)
+
+
+def with_sides(f, lhs: Term, rhs: Term):
+    """The atom f with its sides replaced by lhs and rhs."""
+    return Atom(f.rel, lhs, rhs) if type(f) is Atom else type(f)(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +180,7 @@ class Signature:
     def __init__(self, functions=(), numeric=None):
         self.functions = dict(functions)
         self.numeric = numeric
-        self.relations = {} if numeric is None else {"<": 2, "<=": 2}
+        self.relations = frozenset() if numeric is None else frozenset(("<", "<="))
 
     def __repr__(self):
         fns = ",".join(f"{n}/{a}" for n, a in self.functions.items())
@@ -369,7 +381,7 @@ class _Parser:
         rhs, j = self.term(i + 1)
         if t == "=":
             return Eq(lhs, rhs), j
-        return (Neq(lhs, rhs) if t == "/=" else Atom(t, (lhs, rhs))), j
+        return (Neq(lhs, rhs) if t == "/=" else Atom(t, lhs, rhs)), j
 
     # terms ---------------------------------------------------------------
 
@@ -611,14 +623,10 @@ def write_to(out: list, x) -> None:
                     push(args[k])
                     push(", ")
                 push(args[0])
-        elif cls is Eq or cls is Neq:
+        elif cls is Eq or cls is Neq or cls is Atom:
             push(x.rhs)
-            push(" = " if cls is Eq else " /= ")
-            push(x.lhs)
-        elif cls is Atom:
-            push(x.args[1])
             push(f" {x.rel} ")
-            push(x.args[0])
+            push(x.lhs)
         elif cls is And or cls is Or:
             lhs, rhs = x.lhs, x.rhs
             r = type(rhs)
@@ -673,13 +681,8 @@ def term_vars(t: Term) -> set[str]:
 
 
 def free_vars(f: Formula) -> set[str]:
-    if isinstance(f, (Eq, Neq)):
+    if isinstance(f, ATOM_TYPES):
         return term_vars(f.lhs) | term_vars(f.rhs)
-    if isinstance(f, Atom):
-        out: set[str] = set()
-        for a in f.args:
-            out |= term_vars(a)
-        return out
     if isinstance(f, Not):
         return free_vars(f.body)
     if isinstance(f, (And, Or)):
@@ -750,12 +753,8 @@ def rename_free(f: Formula, x: str, u: str) -> Formula:
 
 
 def _rename_unchecked(f: Formula, theta: dict) -> Formula:
-    if isinstance(f, Eq):
-        return Eq(apply_subst(f.lhs, theta), apply_subst(f.rhs, theta))
-    if isinstance(f, Neq):
-        return Neq(apply_subst(f.lhs, theta), apply_subst(f.rhs, theta))
-    if isinstance(f, Atom):
-        return Atom(f.rel, tuple(apply_subst(a, theta) for a in f.args))
+    if isinstance(f, ATOM_TYPES):
+        return with_sides(f, apply_subst(f.lhs, theta), apply_subst(f.rhs, theta))
     if isinstance(f, Not):
         return Not(_rename_unchecked(f.body, theta))
     if isinstance(f, And):

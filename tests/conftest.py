@@ -97,9 +97,7 @@ def formulas(terms, arith: bool):
     ]
     if arith:
         atom_choices.append(
-            st.tuples(st.sampled_from(("<", "<=")), terms, terms).map(
-                lambda t: Atom(t[0], (t[1], t[2]))
-            )
+            st.tuples(st.sampled_from(("<", "<=")), terms, terms).map(lambda t: Atom(*t))
         )
     atoms = st.one_of(*atom_choices)
 

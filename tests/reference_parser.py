@@ -1,7 +1,7 @@
 """The recursive-descent parser and recursive printer folc shipped before its
 explicit-stack ones.
 
-Kept unchanged as the reference for tests/test_parser_reference.py: the two
+Kept as the reference for tests/test_parser_reference.py: the two
 parsers must build equal trees, or both reject, on the same input, and the
 two printers must print the same text.  This parser reads a `(` in formula
 position by trying a term first and backtracking, so deep parentheses cost
@@ -135,8 +135,6 @@ class _Parser:
         if tok.kind == "ident" and tok.text == "false":
             self.next()
             return BOTTOM
-        if tok.kind == "ident" and tok.text in self.sig.relations and self._lookahead_is("("):
-            return self.relation_call(tok)
         if tok.kind == "op" and tok.text == "(":
             # "(" may open a parenthesised term ("(x + y) * z = 1") or a
             # parenthesised formula; try the term reading first and backtrack.
@@ -151,16 +149,6 @@ class _Parser:
             return f
         return self.infix_atom()
 
-    def relation_call(self, tok: _Token) -> Formula:
-        name = self.next().text
-        self.expect("(")
-        args = self.term_list()
-        self.expect(")")
-        arity = self.sig.relations[name]
-        if len(args) != arity:
-            raise ParseError(f"relation {name} expects {arity} arguments, got {len(args)}", tok.pos)
-        return Atom(name, tuple(args))
-
     def infix_atom(self) -> Formula:
         lhs = self.term()
         tok = self.next()
@@ -171,16 +159,8 @@ class _Parser:
         if tok.text in ("<", "<="):
             if tok.text not in self.sig.relations:
                 raise ParseError(f"relation {tok.text!r} is not available in this algebra", tok.pos)
-            return Atom(tok.text, (lhs, self.term()))
-        if tok.kind == "ident" and tok.text in self.sig.relations:
-            if self.sig.relations[tok.text] != 2:
-                raise ParseError(f"relation {tok.text} is not binary", tok.pos)
-            return Atom(tok.text, (lhs, self.term()))
+            return Atom(tok.text, lhs, self.term())
         raise ParseError(f"expected a relation, found {tok.text or 'end of input'!r}", tok.pos)
-
-    def _lookahead_is(self, text: str) -> bool:
-        nxt = self.tokens[self.pos + 1]
-        return nxt.kind == "op" and nxt.text == text
 
     # terms ---------------------------------------------------------------
 
@@ -258,7 +238,7 @@ class _Parser:
         tok = self.next()
         if tok.kind != "ident" or tok.text in _KEYWORDS:
             raise ParseError(f"expected a variable name, found {tok.text!r}", tok.pos)
-        if tok.text in self.sig.functions or tok.text in self.sig.relations:
+        if tok.text in self.sig.functions:
             raise ParseError(f"{tok.text!r} is a declared symbol, not a variable", tok.pos)
         if tok.text.startswith(FRESH_PREFIX) and not self.allow_fresh:
             raise ParseError(f"variable names may not start with {FRESH_PREFIX!r}", tok.pos)
@@ -335,9 +315,6 @@ def _term_str(t: Term, min_prec: int) -> str:
     return f"{t.symbol}({', '.join(_term_str(a, 1) for a in t.args)})"
 
 
-_INFIX_RELS = ("=", "/=", "<", "<=")
-
-
 def formula_to_str(f: Formula) -> str:
     return _formula_str(f, 0)
 
@@ -350,9 +327,7 @@ def _formula_str(f: Formula, min_prec: int) -> str:
     if isinstance(f, Neq):
         return f"{term_to_str(f.lhs)} /= {term_to_str(f.rhs)}"
     if isinstance(f, Atom):
-        if f.rel in _INFIX_RELS and len(f.args) == 2:
-            return f"{term_to_str(f.args[0])} {f.rel} {term_to_str(f.args[1])}"
-        return f"{f.rel}({', '.join(term_to_str(a) for a in f.args)})"
+        return f"{term_to_str(f.lhs)} {f.rel} {term_to_str(f.rhs)}"
     if isinstance(f, Not):
         if isinstance(f.body, (Not, Exists)):
             return f"~{_formula_str(f.body, _UNARY_PREC)}"

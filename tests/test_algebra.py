@@ -381,17 +381,17 @@ def truth(f, theta, J):
 class TestAtomTruth:
     def test_true(self, int_alg):
         theta = parse_subst("{y/1, z/2}", int_alg)
-        assert truth(Atom("<", (y, z)), theta, int_alg) is True
+        assert truth(Atom("<", y, z), theta, int_alg) is True
         assert truth(Eq(z, App("+", (y, y))), theta, int_alg) is True
 
     def test_non_ground(self, int_alg):
         theta = parse_subst("{y/1}", int_alg)
-        assert truth(Atom("<", (y, z)), theta, int_alg) is None
+        assert truth(Atom("<", y, z), theta, int_alg) is None
         assert truth(Eq(y, z), theta, int_alg) is None
         assert truth(Eq(z, y), theta, int_alg) is None
 
     def test_false(self, int_alg):
-        assert truth(Atom("<", (Val(1), Val(1))), EMPTY_SUBST, int_alg) is False
+        assert truth(Atom("<", Val(1), Val(1)), EMPTY_SUBST, int_alg) is False
         assert truth(Eq(Val(1), Val(2)), EMPTY_SUBST, int_alg) is False
 
     def test_diseq_is_an_atom(self, herb):

@@ -31,7 +31,7 @@ def test_every_traced_binding_resolves(tracing):
     methods = {(name, cls.__name__) for name, cls, _ in tracing._method_targets()}
     printed = {cls for name, cls in methods if name == "syntax.print"}
     assert {"Term", "Formula", "Pair"} <= printed
-    assert {("infer.apply", "StorePolicy"), ("infer.step", "StorePolicy")} <= methods
+    assert ("infer.apply", "StorePolicy") in methods
     assert ("infer.resolve", "LiteralsPolicy") in methods
 
 

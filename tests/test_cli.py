@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +294,18 @@ class TestCheckCommand:
         code = main(["check", "--policy", "baseline", "--algebra", "int", "--bound", "0..0", "false"])
         report = json.loads(capsys.readouterr().out)
         assert report["violations"] == [] and code == 0
+
+    def test_wide_bound_costs_no_memory_in_proportion(self, capsys):
+        # the cost cap refuses the query's 200,005 candidates before any is
+        # drawn, so none may be listed: a list of them alone is 1.6 MB
+        tracemalloc.start()
+        try:
+            code = main(["check", "--algebra", "int", "--bound", "-100000..100000", "x = 1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(capsys.readouterr().out)["violations"] == []
+        assert peak < 1_000_000
 
     def test_check_requires_input(self, capsys):
         assert main(["check", "--policy", "baseline", "--algebra", "int"]) == 3

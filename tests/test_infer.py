@@ -148,7 +148,7 @@ class TestAux:
                 sigma = pair(formulas, EMPTY_SUBST)
                 for _ in range(30):
                     before = _measure(sigma, J)
-                    succ = policy.step(sigma, J)
+                    succ = step(policy, sigma, J)
                     if succ is None or succ is sigma:
                         break
                     sigma = succ
@@ -164,10 +164,35 @@ def _measure(sigma, J):
     return (len(applied_vars), len(sigma.store))
 
 
+def step(policy, sigma, J):
+    """One round: resolve every constraint once and act on the last active one.
+
+    Returns sigma itself when no constraint is active, None when the last
+    active one fails, and otherwise the state with the passive constraints
+    followed by the remaining active ones, in store order.
+    """
+    passive = []
+    active = []
+    outcome = None
+    for f in sigma.store:
+        resolved = policy.resolve(f, sigma.subst, J)
+        if resolved[0] == "passive":
+            passive.append(f)
+        else:
+            active.append(f)
+            outcome = resolved
+    if outcome is None:
+        return sigma
+    if outcome[0] == "fail":
+        return None
+    subst = outcome[1] if outcome[0] == "bind" else sigma.subst
+    return Pair(Store(passive + active[:-1]), subst)
+
+
 def reference_aux(policy, sigma, J):
-    """aux by its definition: policy.step repeated until it fails or changes nothing."""
+    """aux by its definition: step repeated until it fails or changes nothing."""
     while True:
-        succ = policy.step(sigma, J)
+        succ = step(policy, sigma, J)
         if succ is None:
             return ()
         if succ is sigma:
@@ -254,7 +279,7 @@ class TestAuxAgainstRepeatedStep:
         # turns into f(x) /= f(x)
         theta = parse_subst("{x/y, z/f(x)}", herb)
         sigma = pair([F("f(x) /= z", herb), F("f(y) = z", herb)], theta)
-        assert str(DISEQ.step(sigma, herb)) == "<f(x) /= z | {y/x, z/f(x)}>"
+        assert str(step(DISEQ, sigma, herb)) == "<f(x) /= z | {y/x, z/f(x)}>"
         assert aux(DISEQ, sigma, herb) == reference_aux(DISEQ, sigma, herb) == ()
 
     def test_inconsistent_admitted_store_fails_without_classify(self, int_alg):
@@ -310,7 +335,7 @@ class TestUnifyPolicy:
 
     def test_step_on_empty_active_returns_state(self, herb):
         sigma = pair((), parse_subst("{x/a}", herb))
-        assert UNIFY.step(sigma, herb) is sigma
+        assert step(UNIFY, sigma, herb) is sigma
 
     def test_occurs_check_is_inconsistency(self, herb):
         assert UNIFY.apply(pair([F("x = f(x)", herb)], EMPTY_SUBST), herb) == ()
@@ -324,22 +349,22 @@ class TestAtomsPolicy:
             parse_subst("{y/1}", int_alg),
         )
         sigma = pair([F("y < z", int_alg), F("y = 1", int_alg)], EMPTY_SUBST)
-        assert ATOMS.step(sigma, int_alg) == Pair(
+        assert step(ATOMS, sigma, int_alg) == Pair(
             Store([F("y < z", int_alg)]), parse_subst("{y/1}", int_alg)
         )
 
     def test_ground_atom_is_active(self, int_alg):
         theta = parse_subst("{y/1, z/2}", int_alg)
         assert ATOMS.resolve(F("y < z", int_alg), theta, int_alg) == ("drop",)
-        assert ATOMS.step(pair([F("y < z", int_alg)], theta), int_alg) == pair((), theta)
+        assert step(ATOMS, pair([F("y < z", int_alg)], theta), int_alg) == pair((), theta)
 
     def test_empty_store(self, int_alg):
         sigma = pair((), parse_subst("{x/1}", int_alg))
-        assert ATOMS.step(sigma, int_alg) is sigma
+        assert step(ATOMS, sigma, int_alg) is sigma
 
     def test_step_binds_last_active(self, int_alg):
         sigma = pair([F("y < z", int_alg), F("z = 2", int_alg)], parse_subst("{y/1}", int_alg))
-        assert ATOMS.step(sigma, int_alg) == Pair(
+        assert step(ATOMS, sigma, int_alg) == Pair(
             Store([F("y < z", int_alg)]), parse_subst("{y/1, z/2}", int_alg)
         )
 
@@ -349,19 +374,19 @@ class TestAtomsPolicy:
         sigma = pair(
             [F("y = 1", int_alg), F("y < z", int_alg), F("z = 2", int_alg)], EMPTY_SUBST
         )
-        succ = ATOMS.step(sigma, int_alg)
+        succ = step(ATOMS, sigma, int_alg)
         assert succ.subst == parse_subst("{z/2}", int_alg)
         assert str(succ) == "<y < z; y = 1 | {z/2}>"
-        assert str(ATOMS.step(succ, int_alg)) == "<y < z | {y/1, z/2}>"
-        assert str(ATOMS.step(ATOMS.step(succ, int_alg), int_alg)) == "<{} | {y/1, z/2}>"
+        assert str(step(ATOMS, succ, int_alg)) == "<y < z | {y/1, z/2}>"
+        assert str(step(ATOMS, step(ATOMS, succ, int_alg), int_alg)) == "<{} | {y/1, z/2}>"
 
     def test_step_true_and_false_ground_atoms(self, int_alg):
-        true_atom = Atom("<", (Val(1), Val(2)))
-        false_atom = Atom("<", (Val(2), Val(1)))
+        true_atom = Atom("<", Val(1), Val(2))
+        false_atom = Atom("<", Val(2), Val(1))
         assert ATOMS.resolve(true_atom, EMPTY_SUBST, int_alg) == ("drop",)
         assert ATOMS.resolve(false_atom, EMPTY_SUBST, int_alg) == ("fail",)
-        assert ATOMS.step(pair([true_atom], EMPTY_SUBST), int_alg) == pair((), EMPTY_SUBST)
-        assert ATOMS.step(pair([false_atom], EMPTY_SUBST), int_alg) is None
+        assert step(ATOMS, pair([true_atom], EMPTY_SUBST), int_alg) == pair((), EMPTY_SUBST)
+        assert step(ATOMS, pair([false_atom], EMPTY_SUBST), int_alg) is None
         assert ATOMS.apply(pair([false_atom], EMPTY_SUBST), int_alg) == ()
 
     def test_disequations_are_not_special(self, int_alg):
@@ -374,12 +399,12 @@ class TestLiteralsPolicy:
     def test_true_negative_literal_dropped(self, int_alg):
         lit = Not(F("1 = 2", int_alg))
         assert LITERALS.resolve(lit, EMPTY_SUBST, int_alg) == ("drop",)
-        assert LITERALS.step(pair([lit], EMPTY_SUBST), int_alg) == pair((), EMPTY_SUBST)
+        assert step(LITERALS, pair([lit], EMPTY_SUBST), int_alg) == pair((), EMPTY_SUBST)
 
     def test_false_negative_literal_fails(self, int_alg):
         lit = Not(F("1 = 1", int_alg))
         assert LITERALS.resolve(lit, EMPTY_SUBST, int_alg) == ("fail",)
-        assert LITERALS.step(pair([lit], EMPTY_SUBST), int_alg) is None
+        assert step(LITERALS, pair([lit], EMPTY_SUBST), int_alg) is None
 
     def test_non_ground_negative_literal_passive(self, int_alg):
         sigma = pair([Not(F("x = 1", int_alg))], EMPTY_SUBST)
@@ -404,11 +429,11 @@ class TestLiteralsPolicy:
 class TestDiseqPolicy:
     def test_identical_sides_fail(self, herb):
         assert DISEQ.resolve(F("x /= x", herb), EMPTY_SUBST, herb) == ("fail",)
-        assert DISEQ.step(pair([F("x /= x", herb)], EMPTY_SUBST), herb) is None
+        assert step(DISEQ, pair([F("x /= x", herb)], EMPTY_SUBST), herb) is None
 
     def test_ground_distinct_dropped(self, herb):
         assert DISEQ.resolve(F("a /= b", herb), EMPTY_SUBST, herb) == ("drop",)
-        assert DISEQ.step(pair([F("a /= b", herb)], EMPTY_SUBST), herb) == pair((), EMPTY_SUBST)
+        assert step(DISEQ, pair([F("a /= b", herb)], EMPTY_SUBST), herb) == pair((), EMPTY_SUBST)
 
     def test_non_ground_waits(self, herb):
         sigma = pair([F("x /= y", herb)], EMPTY_SUBST)
@@ -566,7 +591,7 @@ class TestResolveVocabulary:
             assert len(out) == 1
 
 
-_x_lt_y, _x_eq_y = Atom("<", (x, y)), Eq(x, y)
+_x_lt_y, _x_eq_y = Atom("<", x, y), Eq(x, y)
 _SHAPES = {
     "Atom": _x_lt_y,
     "Eq": _x_eq_y,
@@ -610,7 +635,7 @@ class TestLinearPolicy:
     def test_step_reclassifies(self, rat_alg):
         nonlinear = F("x * y = 4", rat_alg)
         assert LINEAR.resolve(nonlinear, EMPTY_SUBST, rat_alg) == ("passive",)
-        result = LINEAR.step(pair([nonlinear, F("x = 2", rat_alg)], EMPTY_SUBST), rat_alg)
+        result = step(LINEAR, pair([nonlinear, F("x = 2", rat_alg)], EMPTY_SUBST), rat_alg)
         assert result.subst == parse_subst("{x/2}", rat_alg)
         assert nonlinear in result.store
         # under {x/2} the product is linear and becomes active

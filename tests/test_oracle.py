@@ -142,6 +142,16 @@ class TestRationalEngine:
         assert models(sigma, F("2 * x + 2 * y = 6", rat_alg), rat_alg, None) is True
         assert models(sigma, F("x = 1", rat_alg), rat_alg, None) is False
 
+    @pytest.mark.parametrize(
+        "texts, sat",
+        [(("~(x < 1)", "x = 1"), True), (("~(x < 1)", "x = 2"), True), (("~(x <= 1)", "x = 1"), False)],
+    )
+    def test_negated_order_atoms(self, rat_alg, texts, sat):
+        # ~(l < r) reads as r <= l and ~(l <= r) as r < l: the sides swap and
+        # the strictness flips, which the boundary point x = 1 tells apart
+        formulas = [F(t, rat_alg) for t in texts]
+        assert satisfiable(formulas, EMPTY_SUBST, rat_alg, None) is sat
+
     def test_nonlinear_unknown(self, rat_alg):
         assert satisfiable([F("x * x = 4", rat_alg)], EMPTY_SUBST, rat_alg, None) is None
 
@@ -234,7 +244,7 @@ def _ref_truth(f, env, J, qcands):
     if isinstance(f, Neq):
         return _ref_tval(f.lhs, env, J) != _ref_tval(f.rhs, env, J)
     if isinstance(f, Atom):
-        return J.relations[f.rel](*[_ref_tval(a, env, J) for a in f.args])
+        return J.relations[f.rel](_ref_tval(f.lhs, env, J), _ref_tval(f.rhs, env, J))
     if isinstance(f, Not):
         return not _ref_truth(f.body, env, J, qcands)
     if isinstance(f, And):
@@ -341,17 +351,17 @@ def test_cost_cap_decides_before_a_restated_conclusion(int_alg):
 
 def _ref_fm_feasible(rows):
     """The sign branching the oracle ran before it checked disequations one at
-    a time: every e != 0 becomes e < 0 or -e < 0, and one of the 2^k
+    a time: every e /= 0 becomes e < 0 or -e < 0, and one of the 2^k
     branches must be feasible."""
     base = []
     for coeffs, const, rel in rows:
         if rel == "=":
             base += [(coeffs, const, "<="), ({v: -c for v, c in coeffs.items()}, -const, "<=")]
-        elif rel != "!=":
+        elif rel != "/=":
             base.append((coeffs, const, rel))
     branches = [base]
     for coeffs, const, rel in rows:
-        if rel == "!=":
+        if rel == "/=":
             neg = {v: -c for v, c in coeffs.items()}
             branches = [b + [side] for b in branches for side in ((coeffs, const, "<"), (neg, -const, "<"))]
     return any(_fm_feasible_base(b) for b in branches)
@@ -380,7 +390,7 @@ def test_per_disequation_fm_matches_sign_branching():
             formulas = premises if conclusion is None else premises + [Not(conclusion)]
             for rows in _fm_clauses(formulas):
                 assert _fm_feasible(rows) is _ref_fm_feasible(rows), rows
-                neq_counts[sum(rel == "!=" for _, _, rel in rows)] += 1
+                neq_counts[sum(rel == "/=" for _, _, rel in rows)] += 1
     assert sum(neq_counts.values()) >= 6000
     assert set(neq_counts) == set(range(6))
 
