@@ -7,10 +7,8 @@ below is a lookup in them.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from dataclasses import dataclass
-from functools import cached_property, partial
-from operator import add, eq, itemgetter, le, lt, mul, ne, sub
+from functools import partial
+from operator import add, eq, le, lt, mul, ne, sub
 
 from .syntax import (
     ATOM_TYPES,
@@ -161,73 +159,79 @@ def _mix(h: int) -> int:
     return ((h ^ 89869747) ^ (h << 16)) * 3644798167 & _MASK
 
 
-@dataclass(frozen=True)
 class JSubst:
     """Finite map from variables to J-terms, kept in normal form.
 
-    Normal form: bindings sorted by name, no x/x binding, every value a
-    j_eval fixpoint.  Build instances through make_subst, compose or without.
+    The name-to-value dict is the substitution.  Normal form: no x/x
+    binding, every value a j_eval fixpoint.  Build instances through
+    make_subst, compose or without.  bindings, the pairs in name order, is
+    derived for the readers that see order: the printer, domain and repr.
 
     The hash is additive, the sum of the mixed pair hashes (_mix), so that
     compose and without can update it by difference; they carry it only
     once it has been computed, since most substitutions are never hashed
-    (state.dedup hashes no state of a one-state answer set).  It and the
-    lookup caches below are computed once and kept in the instance dict,
-    outside the fields: ==, repr and fields() ignore them.  Like App's, the
-    hash holds only in the process that computed it.
+    (state.dedup hashes no state of a one-state answer set).  It, bindings
+    and the value-variable index are computed on first use and kept in
+    slots; == compares the maps.  Like App's, the hash holds only in the
+    process that computed it.
     """
 
-    bindings: tuple[tuple[str, Term], ...] = ()
+    __slots__ = ("_mapping", "_vars", "_hash", "_bindings")
+
+    def __init__(self, bindings=()):
+        self._mapping = dict(bindings)
+        self._vars = self._hash = self._bindings = None
+
+    @classmethod
+    def _of(cls, mapping: dict, value_vars=None, h=None) -> JSubst:
+        """A substitution that takes over mapping, with the caches already known."""
+        s = object.__new__(cls)
+        s._mapping, s._vars, s._hash, s._bindings = mapping, value_vars, h, None
+        return s
+
+    def __eq__(self, other):
+        return isinstance(other, JSubst) and self._mapping == other._mapping
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = sum(_mix(hash(p)) for p in self._mapping.items())
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"JSubst(bindings={self.bindings!r})"
+
+    @property
+    def bindings(self) -> tuple[tuple[str, Term], ...]:
+        if self._bindings is None:
+            self._bindings = tuple(sorted(self._mapping.items()))
+        return self._bindings
+
+    @property
+    def _value_vars(self) -> dict[str, frozenset[str]]:
+        """Name -> the variables of its value, for the non-ground values only."""
+        if self._vars is None:
+            self._vars = {n: frozenset(vs) for n, t in self._mapping.items() if (vs := term_vars(t))}
+        return self._vars
 
     def get(self, name: str):
         return self._mapping.get(name)
-
-    @cached_property
-    def _hash(self) -> int:
-        return sum(_mix(hash(p)) for p in self.bindings)
-
-    @cached_property
-    def _mapping(self) -> dict[str, Term]:
-        return dict(self.bindings)
-
-    @cached_property
-    def _value_vars(self) -> dict[str, frozenset[str]]:
-        """Name -> the variables of its value, for the non-ground values only."""
-        out = {}
-        for name, t in self.bindings:
-            vs = term_vars(t)
-            if vs:
-                out[name] = frozenset(vs)
-        return out
 
     def domain(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.bindings)
 
     def is_empty(self) -> bool:
-        return not self.bindings
+        return not self._mapping
 
     def without(self, names) -> JSubst:
-        """self with the bindings of names removed.
-
-        The caches self has computed carry over by difference.
-        """
+        """self without the bindings of names; the caches it has carry over by difference."""
         gone = self._mapping.keys() & names
         if not gone:
             return self
         mapping = dict(self._mapping)
         dropped = [(name, mapping.pop(name)) for name in gone]
-        out = JSubst(tuple(p for p in self.bindings if p[0] in mapping))
-        out.__dict__["_mapping"] = mapping
-        h = self.__dict__.get("_hash")
-        if h is not None:
-            out.__dict__["_hash"] = h - sum(_mix(hash(p)) for p in dropped)
-        value_vars = self.__dict__.get("_value_vars")
-        if value_vars is not None:
-            out.__dict__["_value_vars"] = {n: vs for n, vs in value_vars.items() if n not in gone}
-        return out
+        h = None if self._hash is None else self._hash - sum(_mix(hash(p)) for p in dropped)
+        vv = None if self._vars is None else {n: vs for n, vs in self._vars.items() if n not in gone}
+        return JSubst._of(mapping, vv, h)
 
     def changed(self, other: JSubst) -> set[str]:
         """The names other binds to another object than self does, or that only one binds."""
@@ -263,30 +267,30 @@ def make_subst(pairs, J: Algebra) -> JSubst:
         if isinstance(v, Var) and v.name == name:
             continue
         out[name] = v
-    return JSubst(tuple(sorted(out.items())))
+    return JSubst._of(out)
 
 
-_name = itemgetter(0)
 _NO_VARS = frozenset()
 
 
 def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
     """The unique gamma with x.gamma = j_eval((x.theta).eta) for every x.
 
-    Only the non-ground bindings of theta whose values mention dom(eta) are
-    rewritten; the two walks share one memo each across them.  Every other
-    binding keeps its value object, and gamma's caches are theta's, updated
-    by difference; the hash only when theta has computed it.
+    A copy of theta's map in which only the non-ground values that mention
+    dom(eta) are rewritten, with one memo per walk across them, plus eta's
+    other bindings.  Every other binding keeps its value object, and gamma's
+    caches are theta's, updated by difference; the hash only when theta has
+    computed it.
     """
-    if not eta.bindings:
+    old, eta_map = theta._mapping, eta._mapping
+    if not eta_map:
         return theta
-    if not theta.bindings:
+    if not old:
         return eta
-    old, eta_map, eta_vars = theta._mapping, eta._mapping, eta._value_vars
+    eta_vars = eta._value_vars
     mapping = dict(old)
     value_vars = dict(theta._value_vars)
-    h = theta.__dict__.get("_hash")
-    pairs = list(theta.bindings)
+    h = theta._hash
     apply_memo, eval_memo = {}, {}
     for name, ov in theta._value_vars.items():
         if ov.isdisjoint(eta_map):
@@ -295,42 +299,33 @@ def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
         if isinstance(t, Var):
             v = eta_map[t.name]
         else:
-            v = _apply_app(t, eta, apply_memo)
+            v = _apply_app(t, eta_map, apply_memo)
             if J.numeric is not None:
                 v = _j_eval_app(v, J, eval_memo)
         del value_vars[name]
-        i = bisect_left(pairs, name, key=_name)
         if h is not None:
-            h -= _mix(hash(pairs[i]))
+            h -= _mix(hash((name, t)))
         if isinstance(v, Var) and v.name == name:
             del mapping[name]
-            del pairs[i]
             continue
         mapping[name] = v
-        pairs[i] = p = (name, v)
         if h is not None:
-            h += _mix(hash(p))
+            h += _mix(hash((name, v)))
         nv = ov.difference(eta_map)
         for y in ov.intersection(eta_map):
             nv |= eta_vars.get(y, _NO_VARS)
         if nv:
             value_vars[name] = nv
-    for p in eta.bindings:
-        name = p[0]
+    for name, v in eta_map.items():
         if name in old:
             continue
-        mapping[name] = p[1]
+        mapping[name] = v
         if h is not None:
-            h += _mix(hash(p))
-        insort(pairs, p, key=_name)
+            h += _mix(hash((name, v)))
         vs = eta_vars.get(name)
         if vs:
             value_vars[name] = vs
-    gamma = JSubst(tuple(pairs))
-    gamma.__dict__.update(_mapping=mapping, _value_vars=value_vars)
-    if h is not None:
-        gamma.__dict__["_hash"] = h
-    return gamma
+    return JSubst._of(mapping, value_vars, h)
 
 
 def parse_subst(text: str, J: Algebra) -> JSubst:
@@ -365,8 +360,7 @@ def literal_truth(f, theta: JSubst, J: Algebra):
 
 def subst_names(theta: JSubst) -> set[str]:
     """All variable names a substitution mentions (domain plus value variables)."""
-    out = set()
-    for name, t in theta.bindings:
-        out.add(name)
-        out |= term_vars(t)
+    out = set(theta._mapping)
+    for vs in theta._value_vars.values():
+        out |= vs
     return out

@@ -108,7 +108,7 @@ def mgu(s: Term, t: Term):
             stack.extend(zip(a.args, b.args))
         else:
             return None
-    return JSubst(tuple(sorted(subs.items())))
+    return JSubst._of(subs)
 
 
 # ---------------------------------------------------------------------------
@@ -431,33 +431,25 @@ def _is_equality_literal(f: Formula) -> bool:
 # The baseline (store-free) policy
 
 
-def _literal_lift(f: Formula, theta: JSubst, J: Algebra):
-    """Baseline resolution of a single atomic constraint to an answer set.
-
-    The literals policy's resolve decides it; what that policy would keep
-    passive is error here.
-    """
-    outcome = LITERALS.resolve(f, theta, J)
-    tag = outcome[0]
-    if tag == "bind":
-        return (pair((), outcome[1]),)
-    if tag == "drop":
-        return (pair((), theta),)
-    if tag == "fail":
-        return ()
-    return (ERROR,)
-
-
 def baseline_infer(sigma, J: Algebra):
-    """The reference infer: singleton atomic stores resolved, all else errors."""
+    """The reference infer: singleton atomic stores resolved, all else errors.
+
+    The literals policy's resolve decides the one constraint; what that
+    policy would keep passive is error here.
+    """
     if sigma is ERROR:
         return (ERROR,)
     if len(sigma.store) == 0:
         return (sigma,)
-    if len(sigma.store) == 1:
-        f = sigma.store.items[0]
-        if isinstance(f, ATOMIC_TYPES):
-            return _literal_lift(f, sigma.subst, J)
+    f = sigma.store.items[0]
+    if len(sigma.store) == 1 and isinstance(f, ATOMIC_TYPES):
+        outcome = LITERALS.resolve(f, sigma.subst, J)
+        if outcome[0] == "bind":
+            return (pair((), outcome[1]),)
+        if outcome[0] == "drop":
+            return (pair((), sigma.subst),)
+        if outcome[0] == "fail":
+            return ()
     return (ERROR,)
 
 

@@ -57,7 +57,6 @@ from .syntax import (
     all_names,
     free_vars,
     rename_free,
-    term_vars,
     with_sides,
 )
 
@@ -109,9 +108,9 @@ def subst_formula(f: Formula, theta: JSubst, J: Algebra, _fresh=None) -> Formula
         inner = drop_subst(f.var, theta)
         body_free = free_vars(f.body)
         incoming = set()
-        for name, value in inner.bindings:
+        for name, vs in inner._value_vars.items():
             if name in body_free:
-                incoming |= term_vars(value)
+                incoming |= vs
         body, var = f.body, f.var
         if var in incoming:
             taken = all_names(body) | incoming
@@ -250,7 +249,11 @@ def ground_terms(signature, depth: int, limit: int = _GROUND_LIMIT):
     """All ground constructor terms up to the given depth, or None past limit.
 
     Binary constructors grow the term population doubly exponentially, so
-    the enumeration bails out (None) once it exceeds the limit.
+    the enumeration bails out (None) once it would exceed the limit.  Each
+    combination of arguments is a distinct term, so a constructor's round
+    leaves the terms rooted elsewhere plus len(layers) ** arity; that count
+    is checked before any of them is built.  The exponent is capped where
+    any base of 2 or more already passes the limit.
     """
     key = (tuple(sorted(signature.functions.items())), depth, limit)
     if key in _GROUND_CACHE:
@@ -267,14 +270,15 @@ def ground_terms(signature, depth: int, limit: int = _GROUND_LIMIT):
         for name, arity in sorted(signature.functions.items()):
             if arity == 0:
                 continue
+            rooted = sum(1 for t in layers if t.symbol == name)
+            if len(seen) - rooted + len(layers) ** min(arity, limit.bit_length() + 1) > limit:
+                _GROUND_CACHE[key] = None
+                return None
             for combo in itertools.product(layers, repeat=arity):
                 t = App(name, combo)
                 if t not in seen:
                     seen.add(t)
                     nxt.append(t)
-                if len(seen) > limit:
-                    _GROUND_CACHE[key] = None
-                    return None
         if not nxt:
             break
         layers = layers + nxt
@@ -646,13 +650,6 @@ def _rat_sat(formulas):
     return any(_fm_feasible(clause) for clause in combos)
 
 
-def _rat_entails(premises, conclusion):
-    sat = _rat_sat(list(premises) + [Not(conclusion)])
-    if sat is UNKNOWN:
-        return UNKNOWN
-    return not sat
-
-
 # ---------------------------------------------------------------------------
 # Public oracle operations
 
@@ -669,7 +666,8 @@ def models(sigma, phi: Formula, J: Algebra, bound, _boost: int = 0):
     premises = [subst_formula(f, theta, J) for f in sigma.store]
     conclusion = subst_formula(phi, theta, J)
     if J.numeric == "rat":
-        return _rat_entails(premises, conclusion)
+        sat = _rat_sat(premises + [Not(conclusion)])
+        return UNKNOWN if sat is UNKNOWN else not sat
     return _enum_entails(premises, conclusion, J, bound, _boost)
 
 
@@ -694,6 +692,7 @@ class SoundnessReport:
     skipped_unknown: int = 0
     checks: int = 0
     violations: list = field(default_factory=list)
+    failed: int = field(default=0, init=False)  # decided cases with a violation
 
     @property
     def passed(self) -> bool:
@@ -708,7 +707,7 @@ class SoundnessReport:
             "algebra": self.algebra,
             "cases": self.cases,
             "decided": self.decided,
-            "passed": self.decided - len(self.violations),
+            "passed": self.decided - self.failed,
             "skipped_unknown": self.skipped_unknown,
             "checks": self.checks,
             "violations": self.violations,
@@ -813,6 +812,7 @@ def check_soundness(corpus, policy, J: Algebra, bound=None) -> SoundnessReport:
                         {"criterion": name, "formula": str(phi), "state": str(sigma), "detail": detail()}
                     )
                 report.decided += 1
+                report.failed += 1
                 report.checks += len(rechecks)
                 continue
             unknown = True

@@ -90,10 +90,7 @@ def evaluate(phi: Formula, sigma, ctx: EvalContext):
 
 def eval_set(phi: Formula, states, ctx: EvalContext):
     """Pointwise union of evaluate over a set of states (the conjunction lift)."""
-    out = []
-    for sigma in states:
-        out.extend(_eval(phi, sigma, ctx))
-    return dedup(out)
+    return dedup([s for sigma in states for s in evaluate(phi, sigma, ctx)])
 
 
 def _infer(sigma, ctx: EvalContext):
@@ -134,7 +131,8 @@ def _eval_clause(phi: Formula, sigma, ctx: EvalContext):
     if isinstance(phi, Or):
         return dedup(_eval(phi.lhs, sigma, ctx) + _eval(phi.rhs, sigma, ctx))
     if isinstance(phi, And):
-        return eval_set(phi.rhs, _eval(phi.lhs, sigma, ctx), ctx)
+        # the lhs answers hold only the inputs' names and issued ones: nothing to prime
+        return dedup([s for st in _eval(phi.lhs, sigma, ctx) for s in _eval(phi.rhs, st, ctx)])
     if isinstance(phi, Not):
         inner = _eval(phi.body, sigma, ctx)
         if not cons_plus(inner, J):

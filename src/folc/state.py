@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .algebra import Algebra, JSubst, literal_truth
-from .syntax import And, Eq, Exists, Formula, Var, free_vars, term_vars, write_to
+from .syntax import And, Eq, Exists, Formula, Var, free_vars, write_to
 
 
 class Store:
@@ -176,7 +176,7 @@ def drop_state(u: str, sigma) -> State:
     c_u = [f for f in store if u in free_vars(f)]
     if not c_u:
         return Pair(store, drop_subst(u, eta))
-    ys = sorted(n for n, t in eta.bindings if n != u and u in term_vars(t))
+    ys = sorted(n for n, vs in eta._value_vars.items() if n != u and u in vs)
     conjuncts = []
     u_val = eta.get(u)
     if u_val is not None:

@@ -530,13 +530,6 @@ def format_value(v) -> str:
 
 
 def term_to_str(t: Term) -> str:
-    cls = type(t)
-    if cls is Var:
-        return t.name
-    if cls is Val:
-        return format_value(t.value)
-    if cls is App and not t.args:
-        return t.symbol
     out: list[str] = []
     write_to(out, t)
     return "".join(out)

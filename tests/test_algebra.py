@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 from fractions import Fraction
 from types import FunctionType
@@ -299,7 +298,7 @@ class TestDropKeepsCaches:
 def test_without_computes_no_cache_its_input_lacks(int_alg):
     theta = parse_subst("{x/y + 1, z/2}", int_alg)
     got = theta.without(("z",))
-    assert "_value_vars" not in got.__dict__ and "_hash" not in got.__dict__
+    assert got._vars is None and got._hash is None
     check_caches(got, theta.bindings[:1])
 
 
@@ -334,7 +333,6 @@ class TestSubstNormalForm:
         assert theta.get("y") == App("+", (z, Val(1)))
         assert theta == fresh and hash(theta) == hash(fresh)
         assert repr(theta) == repr(fresh)
-        assert [f.name for f in dataclasses.fields(JSubst)] == ["bindings"]
 
     @given(st.lists(st.tuples(st.sampled_from("uvwxyz"), int_terms()), max_size=6))
     def test_get_agrees_with_the_bindings(self, pairs):

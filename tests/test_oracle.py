@@ -2,6 +2,7 @@ import ast
 import collections
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from folc.algebra import (
     EMPTY_SUBST,
+    compose,
     herbrand_algebra,
     int_algebra,
     make_subst,
@@ -48,6 +50,7 @@ from folc.syntax import (
     Neq,
     Not,
     Or,
+    Signature,
     Val,
     Var,
     free_vars,
@@ -163,6 +166,24 @@ class TestGroundTerms:
         depth1 = ground_terms(herb.signature, 1)
         assert App("f", (App("a", ()),)) in depth1
         assert App("g", (App("a", ()), App("b", ()))) in depth1
+
+    def test_limit_is_exact(self):
+        sig = Signature([("a", 0), ("b", 0), ("g", 2)])
+        assert len(ground_terms(sig, 1, limit=6)) == 6  # a, b and four g terms
+        assert ground_terms(sig, 1, limit=5) is None
+        assert len(ground_terms(sig, 2, limit=38)) == 38  # a, b and 36 g terms over those six
+        assert ground_terms(sig, 2, limit=37) is None
+
+    def test_wide_constructor_builds_no_combination_past_the_limit(self):
+        # 220 combinations of 20,000 arguments each held 35.6 MB before giving up
+        sig = Signature([("f", 20000), ("a", 0)])
+        tracemalloc.start()
+        try:
+            terms = ground_terms(sig, 3, limit=220)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert terms is None and peak < 2_000_000
 
 
 class TestSubstFormula:
@@ -616,6 +637,22 @@ class TestCheckSoundness:
         ]
         second = [(v["formula"], v["state"]) for v in report.violations[2:]]
         assert second == [("~(z = 1) & x = x", "<{} | {z/2}>")] * 3
+
+    def test_passed_counts_cases_not_checks(self, int_alg):
+        literals = get_policy("literals")
+
+        class Rebinding:  # literals, but every answer binds x and y to 5
+            name = "rebinding"
+            check_algebra = literals.check_algebra
+
+            def apply(self, sigma, J):
+                five = parse_subst("{x/5, y/5}", J)
+                answers = literals.apply(sigma, J)
+                return tuple(Pair(s.store, compose(s.subst.without(("x", "y")), five, J)) for s in answers)
+
+        corpus = [(F("y = 0 & x = 1", int_alg), pair((), parse_subst("{y/0}", int_alg)))]
+        d = check_soundness(corpus, Rebinding(), int_alg, B).to_dict()
+        assert (d["decided"], d["checks"], len(d["violations"]), d["passed"]) == (1, 3, 3, 0)
 
     def test_passing_checks_print_no_state(self, int_alg, monkeypatch):
         def refuse(self):

@@ -65,6 +65,14 @@ class TestEvalSet:
             pair((), parse_subst("{y/2, z/1}", int_alg)),
         )
 
+    def test_issues_no_fresh_name_its_states_hold(self, int_alg):
+        # A fresh context must not issue $u1 again: DROP would capture $u1 < z.
+        phi = parse_formula("exists w. w = 1", int_alg.signature)
+        sigma = Pair(Store([parse_formula("$u1 < z", int_alg.signature, allow_fresh=True)]), EMPTY_SUBST)
+        one = evaluate(phi, sigma, make_context(int_alg, get_policy("atoms")))
+        out = eval_set(phi, (sigma,), make_context(int_alg, get_policy("atoms")))
+        assert [str(s) for s in out] == [str(s) for s in one] == ["<$u1 < z | {}>"]
+
 
 class TestNegationCases:
     def test_case_a_inner_inconsistent(self, int_alg):
