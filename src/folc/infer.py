@@ -288,15 +288,33 @@ def aux(policy: StorePolicy, sigma, J: Algebra):
 
     The store is built once, at the fixpoint, and marked closed under
     (policy, J, theta).  Store.add keeps the mark, so the next aux on that
-    store and substitution resolves only the formulas added since.
+    store and substitution starts from the formulas added since.  The
+    closed prefix stays implicit, as a range of positions: its items are
+    passive, so each round's order is the prefix's items still passive, in
+    position order, then the worked entries.  A prefix item enters the
+    round only once a bind changes a name it watches; if it turns active it
+    leaves the prefix and joins the round's active ones ahead of the
+    entries, where the step's stable split would put it.
     """
     store, theta = sigma.store, sigma.subst
+    items = store.items
     known = store.closed_prefix(policy, J, theta)
+    prefix = range(known)  # positions of the closed items still passive under theta
+    woken = ()  # positions in prefix that the last bind may have moved
     # (formula, verdict or None while unknown, the theta it was computed under)
-    entries = [(f, _PASSIVE if i < known else None, theta) for i, f in enumerate(store.items)]
+    entries = [(f, None, theta) for f in items[known:]]
     removed = []
     while True:
         passive, active = [], []
+        if woken:
+            gone = set()
+            for i in woken:
+                outcome = policy.resolve(items[i], theta, J)
+                if outcome[0] != "passive":
+                    gone.add(i)
+                    active.append((items[i], outcome, theta))
+            if gone:
+                prefix = [i for i in prefix if i not in gone]
         for e in entries:
             if e[1] is None:
                 e = (e[0], policy.resolve(e[0], theta, J), theta)
@@ -308,18 +326,21 @@ def aux(policy: StorePolicy, sigma, J: Algebra):
             return ()
         removed.append(f)
         entries = passive + active
+        woken = ()
         if outcome[0] == "bind":
             if under is not theta:
                 outcome = policy.resolve(f, theta, J)
-            changed = theta.changed(outcome[1]) if entries else None
+            changed = theta.changed(outcome[1]) if entries or prefix else None
             theta = outcome[1]
             if changed:
                 entries = [
                     e if changed.isdisjoint(_watched(e[0])) else (e[0], None, None)
                     for e in entries
                 ]
+                woken = [i for i in prefix if not changed.isdisjoint(_watched(items[i]))]
     if removed:
-        store = store.successor(tuple(e[0] for e in entries), removed)
+        kept = items[:known] if len(prefix) == known else tuple(items[i] for i in prefix)
+        store = store.successor(kept + tuple([e[0] for e in entries]), removed)
         sigma = Pair(store, theta)
     store.mark_closed(policy, J, theta)
     return (sigma,)
@@ -345,6 +366,12 @@ class StorePolicy(InferPolicy):
     def apply(self, sigma, J: Algebra):
         """aux on an admitted store; otherwise () if classify finds it inconsistent, else error.
 
+        Only the items past store.closed_prefix(self, J, theta) are tested.
+        A closed record is written only by aux, at the fixpoint of a store
+        that this same policy object admitted, on a subset of its items;
+        Store.add carries it over only the items it held.  Admission does
+        not read theta, so the items the record covers are admitted still.
+
         An admitted store needs no classify.  A literal that is ground and
         false under theta stays so under every compose, which keeps ground
         values as they are, and every policy resolves it to fail, never to
@@ -353,9 +380,10 @@ class StorePolicy(InferPolicy):
         """
         if sigma is ERROR:
             return (ERROR,)
-        if len(sigma.store) == 0:
+        store = sigma.store
+        if len(store) == 0:
             return (sigma,)
-        if not all(self.admits(f) for f in sigma.store):
+        if not all(map(self.admits, store.items[store.closed_prefix(self, J, sigma.subst) :])):
             if classify(sigma, J) is Classification.INCONSISTENT:
                 return ()
             return (ERROR,)

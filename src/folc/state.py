@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import reduce
 
 from .algebra import Algebra, JSubst, literal_truth
@@ -38,12 +37,23 @@ class Store:
         return s
 
     def add(self, f: Formula) -> "Store":
-        if f in self._key:
+        """self with f appended, unless it holds f already.
+
+        f is hashed once, into {f}: the membership test and the union both
+        read that stored hash, and a duplicate costs no copy of the key.
+        """
+        new = {f}
+        if not self._key.isdisjoint(new):
             return self
-        return Store._of(self.items + (f,), self._key | {f}, self._closed)
+        return Store._of(self.items + (f,), self._key | new, self._closed)
 
     def successor(self, items: tuple, removed) -> "Store":
-        """The store of items: self's items less the removed ones, in any order."""
+        """The store of items: self's items less the removed ones, in any order.
+
+        An empty successor is the shared EMPTY_STORE.
+        """
+        if not items:
+            return EMPTY_STORE
         return Store._of(items, self._key.difference(removed))
 
     def closed_prefix(self, policy, J, theta) -> int:
@@ -54,8 +64,13 @@ class Store:
         return 0
 
     def mark_closed(self, policy, J, theta) -> None:
-        """Record that every item is passive under (policy, J, theta)."""
-        self._closed = (len(self.items), policy, J, theta)
+        """Record that every item is passive under (policy, J, theta).
+
+        The empty store is shared and has nothing to record, so it stays
+        unmarked.
+        """
+        if self.items:
+            self._closed = (len(self.items), policy, J, theta)
 
     def __iter__(self):
         return iter(self.items)
@@ -114,12 +129,34 @@ class _ErrorState:
 ERROR = _ErrorState()
 
 
-@dataclass(frozen=True)
 class Pair:
-    """A non-error state: a constraint store together with a J-substitution."""
+    """A non-error state: a constraint store together with a J-substitution.
 
-    store: Store
-    subst: JSubst
+    A value like Store and JSubst: two slots and a hash cache.  The hash is
+    that of the tuple (store, subst), computed on first use and kept, so
+    that the dedups of an Or and of the And around it hash each state's
+    store and substitution once between them.
+    """
+
+    __slots__ = ("store", "subst", "_hash")
+
+    def __init__(self, store: Store, subst: JSubst):
+        self.store = store
+        self.subst = subst
+        self._hash = None
+
+    def __eq__(self, other):
+        if other.__class__ is not Pair:
+            return NotImplemented
+        return (self.store, self.subst) == (other.store, other.subst)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.store, self.subst))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Pair(store={self.store!r}, subst={self.subst!r})"
 
     def __str__(self) -> str:
         out = ["<"]

@@ -201,8 +201,12 @@ def reference_aux(policy, sigma, J):
 
 
 def _ordered(states):
-    """States as their ordered store items, bindings and printed form: Store's == ignores order."""
-    return [(s.store.items, s.subst.bindings, str(s)) for s in states]
+    """States as their ordered store items, bindings and printed form: Store's == ignores order.
+
+    Each also says whether its store equals one built afresh from its items,
+    which a store whose key disagrees with its items does not.
+    """
+    return [(s.store.items, s.subst.bindings, str(s), s.store == Store(s.store.items)) for s in states]
 
 
 def _conjuncts(phi):
@@ -242,6 +246,15 @@ class TestAuxAgainstRepeatedStep:
                 states = [sigma]
                 for conjunct in _conjuncts(phi):
                     states = [out for st in states for out in evaluate(conjunct, st, ctx)]
+        # a disjunction chain: each bind leaves the empty store, which every
+        # state of the chain then shares, whatever its substitution
+        a, b = ("a", "b") if J.numeric is None else ("1", "2")
+        chain = parse_formula(" & ".join(f"(x{i} = {a} | x{i} = {b})" for i in range(6)), J.signature)
+        ctx = make_context(J, policy)
+        states = [pair((), EMPTY_SUBST)]
+        for conjunct in _conjuncts(chain):
+            states = [out for st in states for out in evaluate(conjunct, st, ctx)]
+        assert len(states) == 64 and len({id(s.store) for s in states}) == 1
         # under unify every admitted constraint binds or fails, so each
         # fixpoint store is empty and no prefix is ever known passive
         assert seen["calls"] > 1000 and (seen["closed"] > 10 or name == "unify"), seen
@@ -265,6 +278,62 @@ class TestAuxAgainstRepeatedStep:
             assert calls[0] == 3 - known
             # now every item is known passive under these objects
             assert grown.closed_prefix(policy, J, th) == 3
+
+    def test_one_atom_on_a_closed_store_costs_one_admission_and_one_resolve(
+        self, monkeypatch, int_alg
+    ):
+        prefix = [F(f"y{i} < z{i}", int_alg) for i in range(30)]
+        (closed,) = LITERALS.apply(pair(prefix, EMPTY_SUBST), int_alg)
+        assert closed.store.closed_prefix(LITERALS, int_alg, EMPTY_SUBST) == 30
+        admitted = []
+        admits = LITERALS.admits
+        monkeypatch.setattr(LITERALS, "admits", lambda f: admitted.append(f) or admits(f))
+        calls = _count_resolves(monkeypatch)
+        # x = 1 binds, and no prefix item mentions x: the successor is the
+        # prefix's items, in order
+        x_is_1 = F("x = 1", int_alg)
+        (out,) = LITERALS.apply(Pair(closed.store.add(x_is_1), EMPTY_SUBST), int_alg)
+        assert admitted == [x_is_1] and calls[0] == 1
+        assert out.store.items == tuple(prefix) and out.store == Store(prefix)
+        assert str(out.subst) == "{x/1}"
+        # w < v survives the bind: it follows the prefix's items
+        admitted.clear()
+        calls[0] = 0
+        sigma = Pair(closed.store.add(F("w < v", int_alg)).add(x_is_1), EMPTY_SUBST)
+        (out,) = LITERALS.apply(sigma, int_alg)
+        assert len(admitted) == 2 and calls[0] == 2
+        assert out.store.items == (*prefix, F("w < v", int_alg))
+        assert _ordered([out]) == _ordered(reference_aux(LITERALS, sigma, int_alg))
+
+    @pytest.mark.parametrize(
+        "closed, added, expected",
+        [
+            # x = 2 makes both closed products linear, and each pivots on w:
+            # the one the step acts on first decides how w is written
+            (
+                ["x * y = z + w", "u * v = 1", "x * z = w"],
+                ["u * u = v", "x = 2"],
+                "<u * v = 1; u * u = v | {w/2 * z, x/2, y/3/2 * z}>",
+            ),
+            # the woken x * z = w and the earlier 2 * y = z + w are active in
+            # one round: the step acts on the entry, which comes last
+            (
+                ["u * v = 1", "x * z = w"],
+                ["2 * y = z + w", "u * u = v", "x = 2"],
+                "<u * v = 1; u * u = v | {w/2 * (3/2 * z) - z, x/2, y/3/2 * z}>",
+            ),
+        ],
+    )
+    def test_woken_prefix_items_turn_active_in_store_order(self, closed, added, expected, rat_alg):
+        (sigma,) = LINEAR.apply(pair([F(t, rat_alg) for t in closed], EMPTY_SUBST), rat_alg)
+        store = sigma.store
+        for t in added:
+            store = store.add(F(t, rat_alg))
+        sigma = Pair(store, sigma.subst)
+        assert store.closed_prefix(LINEAR, rat_alg, sigma.subst) == len(closed)
+        want = reference_aux(LINEAR, sigma, rat_alg)
+        assert str(want[0]) == expected
+        assert _ordered(aux(LINEAR, sigma, rat_alg)) == _ordered(want)
 
     def test_a_record_for_another_policy_is_ignored(self, rat_alg):
         # x = y * y waits as non-linear under linear, but literals binds x

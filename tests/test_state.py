@@ -49,9 +49,54 @@ class TestStore:
         assert s.add(Eq(x, y)) is s
         assert len(s.add(Eq(y, z))) == 2
 
+    def test_add_hashes_the_new_formula_once(self):
+        class Counted:
+            hashes = 0
+
+            def __hash__(self):
+                Counted.hashes += 1
+                return 7
+
+        f = Counted()
+        s = Store([Eq(x, y)]).add(f)
+        assert s.items == (Eq(x, y), f) and Counted.hashes == 1
+        # a duplicate is found through the same one hash, and s comes back
+        assert s.add(f) is s and Counted.hashes == 2
+
     def test_printing(self, int_alg):
         assert str(Store()) == "{}"
         assert str(Store([F("y < z", int_alg)])) == "y < z"
+
+
+class TestPair:
+    def test_equality_hash_repr_and_printing(self, int_alg):
+        yz, lt = Eq(y, z), F("y < z", int_alg)
+        a = Pair(Store([yz, lt]), parse_subst("{x/1}", int_alg))
+        b = Pair(Store([lt, yz]), parse_subst("{x/1}", int_alg))
+        assert a == b and hash(a) == hash(b) == hash((a.store, a.subst))
+        assert a != Pair(a.store, EMPTY_SUBST) and a != ERROR and a != (a.store, a.subst)
+        assert repr(a) == (
+            "Pair(store=Store([Eq(lhs=Var(name='y'), rhs=Var(name='z')), "
+            "Atom(rel='<', lhs=Var(name='y'), rhs=Var(name='z'))]), "
+            "subst=JSubst(bindings=(('x', Val(value=1)),)))"
+        )
+        assert str(a) == "<y = z; y < z | {x/1}>" and str(b) == "<y < z; y = z | {x/1}>"
+        assert str(Pair(Store(), EMPTY_SUBST)) == "<{} | {}>"
+
+    def test_hashes_its_store_once(self, monkeypatch):
+        calls = [0]
+        store_hash = Store.__hash__
+
+        def counting(self):
+            calls[0] += 1
+            return store_hash(self)
+
+        monkeypatch.setattr(Store, "__hash__", counting)
+        p = Pair(Store([Eq(x, y)]), EMPTY_SUBST)
+        assert len({p, Pair(p.store, p.subst)}) == 1
+        for _ in range(10):
+            hash(p)
+        assert calls[0] == 2  # once for each of the two pairs
 
 
 class TestDropSubst:
