@@ -241,12 +241,25 @@ class JSubst:
         return out
 
     def write(self, out: list) -> None:
-        """Append the printed substitution to out: {x/t, ...}."""
-        out.append("{")
-        for k, (name, t) in enumerate(self.bindings):
-            out.append(f", {name}/" if k else f"{name}/")
-            write_to(out, t)
-        out.append("}")
+        """Append the printed substitution to out, {x/t, ...}, as one joined string.
+
+        A Var or Val value is printed in place; only a compound value goes
+        through the term printer.  A Val prints as str of its value, which
+        is format_value's text: str of a Fraction is its numerator when it
+        is integral.
+        """
+        parts = []
+        for name, t in self.bindings:
+            cls = type(t)
+            if cls is Val:
+                parts.append(name + "/" + str(t.value))
+            elif cls is Var:
+                parts.append(name + "/" + t.name)
+            else:
+                piece = [name, "/"]
+                write_to(piece, t)
+                parts.append("".join(piece))
+        out.append("{" + ", ".join(parts) + "}")
 
     def __str__(self) -> str:
         out: list[str] = []

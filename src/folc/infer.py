@@ -21,7 +21,9 @@ answers in one vocabulary: ('bind', theta') with the new substitution,
 yet.  The baseline reads passive as error.  aux reaches the fixpoint of a
 repeated step (resolve every constraint once, act on the last active one)
 but resolves again only the constraints a binding touches; that step is
-the test reference in tests/test_infer.py.
+the test reference in tests/test_infer.py.  apply resolves the one formula
+past a closed prefix itself, and calls aux only when it binds into a
+non-empty prefix.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .algebra import (
     term_is_ground,
 )
 from .state import (
+    EMPTY_STORE,
     ERROR,
     Classification,
     Pair,
@@ -266,25 +269,29 @@ class InferPolicy:
 
 
 def _watched(f: Formula) -> frozenset:
-    """free_vars(f), kept on the node as App keeps its hash."""
+    """free_vars(f), kept on the node as App keeps its hash, as the attribute _watched."""
     vs = f.__dict__.get("_watched")
     if vs is None:
         vs = f.__dict__["_watched"] = frozenset(free_vars(f))
     return vs
 
 
-def aux(policy: StorePolicy, sigma, J: Algebra):
+def aux(policy: StorePolicy, sigma, J: Algebra, last=None):
     """Maximal repetition of one step: () on fail, else the fixpoint state.
 
     Each round acts as the step of tests/test_infer.py does, on the last
     active constraint, and leaves the passive constraints followed by the
     remaining active ones; but a verdict is kept across rounds until a bind
-    may have moved it.  resolve
-    reads theta only through the values of the constraint's free variables,
-    so its verdict holds until a bind gives one of those names another value
-    object or binds or unbinds it (compose keeps every untouched binding as
-    the same object).  A bind outcome also carries the new substitution, so
-    it is acted on only when it was computed under the current theta.
+    may have moved it.  resolve reads theta only through the values of the
+    constraint's free variables, so its verdict holds until a bind gives
+    one of those names another value object or binds or unbinds it (compose
+    keeps every untouched binding as the same object).  A bind outcome also
+    carries the new substitution, so it is acted on only when it was
+    computed under the current theta.
+
+    last, if given, is (outcome, theta'): what resolve gave for the store's
+    last item under theta'.  It stands for that item's first resolve when
+    theta' is sigma's substitution itself, and is ignored otherwise.
 
     The store is built once, at the fixpoint, and marked closed under
     (policy, J, theta).  Store.add keeps the mark, so the next aux on that
@@ -303,6 +310,8 @@ def aux(policy: StorePolicy, sigma, J: Algebra):
     woken = ()  # positions in prefix that the last bind may have moved
     # (formula, verdict or None while unknown, the theta it was computed under)
     entries = [(f, None, theta) for f in items[known:]]
+    if last is not None and last[1] is theta:
+        entries[-1] = (items[-1], last[0], theta)
     removed = []
     while True:
         passive, active = [], []
@@ -337,7 +346,16 @@ def aux(policy: StorePolicy, sigma, J: Algebra):
                     e if changed.isdisjoint(_watched(e[0])) else (e[0], None, None)
                     for e in entries
                 ]
-                woken = [i for i in prefix if not changed.isdisjoint(_watched(items[i]))]
+                # Each prefix item's set is read in place, without a Python call
+                # per item: on CPython 3.11 a call whose frame falls just past
+                # the end of a frame-stack chunk maps and unmaps a fresh chunk,
+                # a page fault per call, and where chunks end moves with every
+                # frame size on the stack.
+                woken = [
+                    i
+                    for i in prefix
+                    if not changed.isdisjoint(getattr(items[i], "_watched", None) or _watched(items[i]))
+                ]
     if removed:
         kept = items[:known] if len(prefix) == known else tuple(items[i] for i in prefix)
         store = store.successor(kept + tuple([e[0] for e in entries]), removed)
@@ -367,27 +385,58 @@ class StorePolicy(InferPolicy):
         """aux on an admitted store; otherwise () if classify finds it inconsistent, else error.
 
         Only the items past store.closed_prefix(self, J, theta) are tested.
-        A closed record is written only by aux, at the fixpoint of a store
-        that this same policy object admitted, on a subset of its items;
-        Store.add carries it over only the items it held.  Admission does
-        not read theta, so the items the record covers are admitted still.
+        A closed record is written only by aux or here, at the fixpoint of a
+        store that this same policy object admitted, on a subset of its
+        items; Store.add carries it over only the items it held.  Admission
+        does not read theta, so the items the record covers are admitted
+        still.
 
         An admitted store needs no classify.  A literal that is ground and
         false under theta stays so under every compose, which keeps ground
         values as they are, and every policy resolves it to fail, never to
         passive or drop.  So it stays in the store until it is the last
         active constraint, and aux returns () as classify would have.
+
+        When the closed prefix is every item but the last, the one formula
+        an atom or a negation has just added, apply resolves that formula
+        itself.  Every prefix item is passive under theta, and only a bind
+        changes theta, so aux's first round would act on this formula and
+        nothing else: a passive one leaves a fixpoint, the input state; a
+        fail is (); a drop leaves the prefix, passive still, so at a
+        fixpoint.  A bind into an empty prefix is the empty store with the
+        new substitution; into a non-empty one it may move prefix items, so
+        aux takes over with the outcome in hand and resolves only the
+        items that watch a changed name.
         """
         if sigma is ERROR:
             return (ERROR,)
         store = sigma.store
-        if len(store) == 0:
+        n = len(store)
+        if n == 0:
             return (sigma,)
-        if not all(map(self.admits, store.items[store.closed_prefix(self, J, sigma.subst) :])):
+        theta = sigma.subst
+        known = store.closed_prefix(self, J, theta)
+        if not all(map(self.admits, store.items[known:])):
             if classify(sigma, J) is Classification.INCONSISTENT:
                 return ()
             return (ERROR,)
-        return aux(self, sigma, J)
+        if known != n - 1:
+            return aux(self, sigma, J)
+        f = store.items[-1]
+        outcome = self.resolve(f, theta, J)
+        tag = outcome[0]
+        if tag == "passive":
+            store.mark_closed(self, J, theta)
+            return (sigma,)
+        if tag == "fail":
+            return ()
+        if tag == "drop":
+            prefix = store.successor(store.items[:known], (f,))
+            prefix.mark_closed(self, J, theta)
+            return (Pair(prefix, theta),)
+        if not known:
+            return (Pair(EMPTY_STORE, outcome[1]),)
+        return aux(self, sigma, J, (outcome, theta))
 
 
 class UnifyPolicy(StorePolicy):

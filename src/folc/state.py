@@ -15,10 +15,11 @@ class Store:
     Equality and hashing are order-insensitive (set semantics); the stored
     order is kept for deterministic splitting and printing.
 
-    A store may also remember that infer.aux closed it: its first n items
-    are passive under one (policy, algebra, substitution), compared by
-    identity.  add carries the record forward; every other constructor
-    starts without one.  Like the hash caches of App and JSubst, the record
+    A store may also remember that infer.aux, or StorePolicy.apply's
+    one-formula shortcut, closed it: its first n items are passive under
+    one (policy, algebra, substitution), compared by identity.  add
+    carries the record forward; every other constructor starts without
+    one.  Like the hash caches of App and JSubst, the record
     is outside equality and hashing.
     """
 

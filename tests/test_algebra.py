@@ -348,6 +348,62 @@ class TestSubstNormalForm:
         assert parse_subst("{x/3/2}", rat_alg) == theta
 
 
+def _pair_of(bindings, store=()):
+    return state.Pair(state.Store(store), JSubst(bindings))
+
+
+class TestSubstPrinter:
+    """str of a substitution and of a state: leaves, numbers and parentheses."""
+
+    def test_int_leaves(self):
+        theta = JSubst([("y", Val(-2)), ("x", Val(1)), ("w", Val(0)), ("v", z)])
+        assert str(theta) == "{v/z, w/0, x/1, y/-2}"
+
+    def test_fractions_over_rat(self):
+        values = [Fraction(4), Fraction(-3), Fraction(3, 2), Fraction(-1, 3)]
+        theta = JSubst(zip("uvwx", map(Val, values)))
+        assert str(theta) == "{u/4, v/-3, w/3/2, x/-1/3}"
+
+    def test_herbrand_constants_and_nesting(self, herb):
+        a = App("a", ())
+        theta = JSubst(
+            [("x", a), ("y", T("f(f(g(a, f(z))))", herb)), ("z", T("g(f(b), g(x, c))", herb))]
+        )
+        assert str(theta) == "{x/a, y/f(f(g(a, f(z)))), z/g(f(b), g(x, c))}"
+
+    def test_sums_that_need_parentheses(self):
+        one, half = Val(1), Val(Fraction(1, 2))
+        theta = JSubst(
+            [
+                ("a", App("-", (x, App("-", (y, one))))),
+                ("b", App("*", (App("+", (x, one)), y))),
+                ("c", App("*", (x, App("*", (y, z))))),
+                ("d", App("+", (App("+", (x, y)), z))),
+                ("e", App("*", (half, App("-", (x, Val(Fraction(-2))))))),
+            ]
+        )
+        assert str(theta) == (
+            "{a/x - (y - 1), b/(x + 1) * y, c/x * (y * z), d/x + y + z, e/1/2 * (x - -2)}"
+        )
+
+    def test_pairs(self):
+        sigma = _pair_of([("y", App("+", (z, Val(-1)))), ("x", Val(3))], [Eq(x, y), Atom("<", y, z)])
+        assert str(sigma) == "<x = y; y < z | {x/3, y/z + -1}>"
+        assert str(_pair_of([("x", Val(Fraction(5, 2)))])) == "<{} | {x/5/2}>"
+        assert str(_pair_of([])) == "<{} | {}>"
+
+    @given(
+        st.dictionaries(
+            st.sampled_from("uvwxyz"), st.one_of(int_terms(), rat_terms(), herb_terms()), max_size=6
+        )
+    )
+    def test_each_binding_prints_as_its_term(self, mapping):
+        theta = JSubst(mapping.items())
+        want = ", ".join(f"{n}/{syntax.term_to_str(t)}" for n, t in sorted(mapping.items()))
+        assert str(theta) == "{" + want + "}"
+        assert str(state.Pair(state.EMPTY_STORE, theta)) == "<{} | {" + want + "}>"
+
+
 def test_herbrand_signature_without_a_constant_is_rejected():
     with pytest.raises(ValueError, match="no constant, so the Herbrand universe is empty"):
         herbrand_algebra([("f", 1), ("g", 2)])

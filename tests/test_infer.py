@@ -34,7 +34,7 @@ from folc.infer import (
     rewrite_linear,
 )
 from folc.semantics import evaluate, make_context
-from folc.state import ERROR, Pair, Store, pair
+from folc.state import EMPTY_STORE, ERROR, Pair, Store, pair
 from folc.syntax import (
     BOTTOM,
     And,
@@ -219,27 +219,29 @@ STORE_POLICIES = ("atoms", "literals", "unify", "diseq", "linear")
 class TestAuxAgainstRepeatedStep:
     @pytest.mark.parametrize("name", STORE_POLICIES)
     def test_corpus_states_and_chained_states(self, name, monkeypatch, int_alg, herb, rat_alg):
-        """Every aux call made while evaluating the corpora, conjunct by conjunct, matches step."""
+        """Every apply on an admitted store made while evaluating the corpora, conjunct by
+        conjunct, matches step: aux and the one-formula shortcut in front of it alike."""
         J = {"unify": herb, "diseq": herb, "linear": rat_alg}.get(name, int_alg)
         policy = get_policy(name)
-        incremental = infer.aux
+        apply = infer.StorePolicy.apply
         seen = {"calls": 0, "closed": 0}
 
         def checked(p, sigma, J):
+            if sigma is ERROR or not len(sigma.store) or not all(map(p.admits, sigma.store)):
+                return apply(p, sigma, J)
             want = reference_aux(p, sigma, J)
             seen["closed"] += sigma.store.closed_prefix(p, J, sigma.subst) > 0
-            got = incremental(p, sigma, J)
+            got = apply(p, sigma, J)
             assert _ordered(got) == _ordered(want), str(sigma)
             seen["calls"] += 1
             return got
 
-        monkeypatch.setattr(infer, "aux", checked)
+        monkeypatch.setattr(infer.StorePolicy, "apply", checked)
         for seed in (41, 42):
             for phi, sigma in soundness_corpus(seed, J, name, 200) + persistence_corpus(
                 seed, J, name, 200
             ):
-                if all(policy.admits(f) for f in sigma.store):
-                    checked(policy, sigma, J)
+                policy.apply(sigma, J)
                 # the outputs of one evaluate, fed the next conjunct: their
                 # stores come marked closed
                 ctx = make_context(J, policy)
@@ -304,6 +306,71 @@ class TestAuxAgainstRepeatedStep:
         assert len(admitted) == 2 and calls[0] == 2
         assert out.store.items == (*prefix, F("w < v", int_alg))
         assert _ordered([out]) == _ordered(reference_aux(LITERALS, sigma, int_alg))
+
+    def test_one_formula_past_the_prefix_is_resolved_once_and_aux_only_for_a_bind_into_it(
+        self, monkeypatch, int_alg
+    ):
+        prefix = [F(f"y{i} < z{i}", int_alg) for i in range(30)]
+        (closed,) = LITERALS.apply(pair(prefix, EMPTY_SUBST), int_alg)
+        calls = _count_resolves(monkeypatch)
+        auxes = []
+        monkeypatch.setattr(infer, "aux", lambda *args: auxes.append(args) or aux(*args))
+
+        def one(store, text):
+            calls[0] = 0
+            auxes.clear()
+            sigma = Pair(store.add(F(text, int_alg)), EMPTY_SUBST)
+            return sigma, LITERALS.apply(sigma, int_alg)
+
+        sigma, out = one(closed.store, "w < v")  # passive: the input state itself
+        assert out[0] is sigma and calls[0] == 1 and not auxes
+        assert sigma.store.closed_prefix(LITERALS, int_alg, EMPTY_SUBST) == 31
+        sigma, out = one(closed.store, "1 < 2")  # drop: the prefix, marked closed
+        assert out[0].store.items == tuple(prefix) and calls[0] == 1 and not auxes
+        assert out[0].store.closed_prefix(LITERALS, int_alg, EMPTY_SUBST) == 30
+        sigma, out = one(closed.store, "2 < 1")  # fail
+        assert out == () and calls[0] == 1 and not auxes
+        sigma, out = one(EMPTY_STORE, "x = 1")  # a bind into an empty prefix wakes nothing
+        assert str(out[0]) == "<{} | {x/1}>" and calls[0] == 1 and not auxes
+        # a bind into a non-empty prefix: aux takes the outcome and resolves it no more
+        sigma, out = one(closed.store, "x = 1")
+        assert out[0].store.items == tuple(prefix) and calls[0] == 1 and len(auxes) == 1
+
+    @pytest.mark.parametrize(
+        "earlier, added, expected",
+        [
+            ("y < z & w < y", "v < u", "<y < z; w < y; v < u | {}>"),  # passive
+            ("y < z & w < y", "1 < 2", "<y < z; w < y | {}>"),  # drop
+            ("y < z & w < y", "2 < 1", None),  # fail
+            ("z = 3 & w = 1", "y = 2", "<{} | {w/1, y/2, z/3}>"),  # bind, empty prefix
+            ("z = 3 & y < z & w < v", "y = 1", "<w < v | {y/1, z/3}>"),  # wakes y < z: drop
+            ("z = 3 & w < v & y < z", "y = 5", None),  # wakes y < z: fail
+            ("x < y & y < z", "y = x + 1", "<x < y; y < z | {y/x + 1}>"),  # wakes both: passive
+        ],
+    )
+    def test_one_formula_on_a_store_closed_by_evaluate(self, earlier, added, expected, int_alg):
+        ctx = make_context(int_alg, LITERALS)
+        (closed,) = evaluate(F(earlier, int_alg), pair((), EMPTY_SUBST), ctx)
+        f = F(added, int_alg)
+        sigma = Pair(closed.store.add(f), closed.subst)
+        assert sigma.store.closed_prefix(LITERALS, int_alg, sigma.subst) == len(sigma.store) - 1
+        want = reference_aux(LITERALS, sigma, int_alg)
+        assert [str(s) for s in want] == ([] if expected is None else [expected])
+        assert _ordered(LITERALS.apply(sigma, int_alg)) == _ordered(want)
+        (closed,) = evaluate(F(earlier, int_alg), pair((), EMPTY_SUBST), ctx)
+        assert _ordered(evaluate(f, closed, ctx)) == _ordered(want)
+
+    def test_a_handed_in_verdict_under_another_theta_is_not_acted_on(self, int_alg):
+        theta = parse_subst("{z/3}", int_alg)
+        (closed,) = LITERALS.apply(pair([F("y < z", int_alg)], theta), int_alg)
+        f = F("y = 1", int_alg)
+        sigma = Pair(closed.store.add(f), theta)
+        other = parse_subst("{y/2}", int_alg)
+        stale = LITERALS.resolve(f, other, int_alg)
+        assert stale == ("fail",)
+        want = reference_aux(LITERALS, sigma, int_alg)
+        assert [str(s) for s in want] == ["<{} | {y/1, z/3}>"]
+        assert _ordered(aux(LITERALS, sigma, int_alg, (stale, other))) == _ordered(want)
 
     @pytest.mark.parametrize(
         "closed, added, expected",
