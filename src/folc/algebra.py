@@ -244,9 +244,8 @@ class JSubst:
         """Append the printed substitution to out, {x/t, ...}, as one joined string.
 
         A Var or Val value is printed in place; only a compound value goes
-        through the term printer.  A Val prints as str of its value, which
-        is format_value's text: str of a Fraction is its numerator when it
-        is integral.
+        through the term printer.  A Val prints as str of its value, as in
+        write_to: str of a Fraction is its numerator when it is integral.
         """
         parts = []
         for name, t in self.bindings:

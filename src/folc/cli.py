@@ -8,8 +8,9 @@ when it contains the error state, 2 when it is empty (inconsistency), 3 on
 usage or parse errors.  check exits 0 iff the report has no violations, and
 3 on the same errors or on --n below 1 or --depth below 0.
 Both exit 4 on a resource limit: a formula nested too deeply for the
-evaluator's recursive walks or for the hash and == of formula nodes.  The
-parser and the printer read and print any depth.
+recursive walks of the evaluator (one Python frame per level) or the
+oracle, or for the hash and == of formula nodes.  The parser and the
+printer read and print any depth.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .algebra import Algebra, subst_names
 from .infer import InferPolicy
-from .state import ERROR, Pair, cons, cons_plus, dedup, drop_state
+from .state import ERROR, Pair, cons_plus, dedup, drop_state
 from .syntax import (
     ATOMIC_TYPES,
     And,
@@ -108,7 +108,31 @@ def _infer(sigma, ctx: EvalContext):
 
 
 def _eval(phi: Formula, sigma, ctx: EvalContext):
-    result = _eval_clause(phi, sigma, ctx)
+    """The answer set of phi in sigma: one branch per clause, then its trace event."""
+    if sigma is ERROR:
+        result = (ERROR,)  # there is no recovery from error
+    elif isinstance(phi, ATOMIC_TYPES):
+        result = dedup(_infer(Pair(sigma.store.add(phi), sigma.subst), ctx))
+    elif isinstance(phi, Or):
+        result = dedup(_eval(phi.lhs, sigma, ctx) + _eval(phi.rhs, sigma, ctx))
+    elif isinstance(phi, And):
+        # the lhs answers hold only the inputs' names and issued ones: nothing to prime
+        result = dedup([s for st in _eval(phi.lhs, sigma, ctx) for s in _eval(phi.rhs, st, ctx)])
+    elif isinstance(phi, Not):
+        # one filter serves both tests: it keeps error, which never equals sigma
+        inner = cons_plus(_eval(phi.body, sigma, ctx), ctx.algebra)
+        if not inner:
+            result = dedup(_infer(sigma, ctx))
+        elif sigma in inner:
+            result = ()
+        else:
+            result = dedup(_infer(Pair(sigma.store.add(phi), sigma.subst), ctx))
+    elif isinstance(phi, Exists):
+        u = ctx.fresh_name()
+        inner = cons_plus(_eval(rename_free(phi.body, phi.var, u), sigma, ctx), ctx.algebra)
+        result = dedup([s for st in inner for s in _infer(drop_state(u, st), ctx)])
+    else:
+        raise TypeError(f"not a formula: {phi!r}")
     if ctx.trace is not None:  # the events print every state: build them only for a sink
         ctx.trace(
             {
@@ -120,31 +144,3 @@ def _eval(phi: Formula, sigma, ctx: EvalContext):
             }
         )
     return result
-
-
-def _eval_clause(phi: Formula, sigma, ctx: EvalContext):
-    if sigma is ERROR:
-        return (ERROR,)  # there is no recovery from error
-    J = ctx.algebra
-    if isinstance(phi, ATOMIC_TYPES):
-        return dedup(_infer(Pair(sigma.store.add(phi), sigma.subst), ctx))
-    if isinstance(phi, Or):
-        return dedup(_eval(phi.lhs, sigma, ctx) + _eval(phi.rhs, sigma, ctx))
-    if isinstance(phi, And):
-        # the lhs answers hold only the inputs' names and issued ones: nothing to prime
-        return dedup([s for st in _eval(phi.lhs, sigma, ctx) for s in _eval(phi.rhs, st, ctx)])
-    if isinstance(phi, Not):
-        inner = _eval(phi.body, sigma, ctx)
-        if not cons_plus(inner, J):
-            return dedup(_infer(sigma, ctx))
-        if any(st == sigma for st in cons(inner, J)):
-            return ()
-        return dedup(_infer(Pair(sigma.store.add(phi), sigma.subst), ctx))
-    if isinstance(phi, Exists):
-        u = ctx.fresh_name()
-        inner = _eval(rename_free(phi.body, phi.var, u), sigma, ctx)
-        out = []
-        for st in cons_plus(inner, J):
-            out.extend(_infer(drop_state(u, st), ctx))
-        return dedup(out)
-    raise TypeError(f"not a formula: {phi!r}")

@@ -523,12 +523,6 @@ def parse_substitution_pairs(text: str, signature: Signature, allow_fresh: bool 
 # Printer
 
 
-def format_value(v) -> str:
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return str(v.numerator)
-    return str(v)
-
-
 def term_to_str(t: Term) -> str:
     out: list[str] = []
     write_to(out, t)
@@ -562,7 +556,7 @@ def write_to(out: list, x) -> None:
         out.append(x.name)
         return
     if cls is Val:
-        out.append(format_value(x.value))
+        out.append(str(x.value))
         return
     if cls is App and not x.args:
         out.append(x.symbol)
@@ -579,7 +573,7 @@ def write_to(out: list, x) -> None:
         elif cls is Var:
             put(x.name)
         elif cls is Val:
-            put(format_value(x.value))
+            put(str(x.value))
         elif cls is App:
             sym, args = x.symbol, x.args
             if sym in _ADDITIVE or sym == "*":

@@ -32,7 +32,6 @@ from folc.syntax import (
     Term,
     Val,
     Var,
-    format_value,
 )
 
 _TOKEN_RE = re.compile(
@@ -303,7 +302,7 @@ def _term_str(t: Term, min_prec: int) -> str:
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Val):
-        return format_value(t.value)
+        return str(t.value)
     if t.symbol in ("+", "-"):
         s = f"{_term_str(t.args[0], 1)} {t.symbol} {_term_str(t.args[1], 2)}"
         return f"({s})" if min_prec > 1 else s

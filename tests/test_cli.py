@@ -72,6 +72,23 @@ class TestEvalCommand:
         assert captured.out == ""
         assert captured.err.splitlines() == ["folc: formula nests too deeply for the recursive walks"]
 
+    @pytest.mark.parametrize(
+        "formula, answer",
+        [
+            (
+                " & ".join(f"x{i} = {i}" for i in range(800)),
+                "<{} | {" + ", ".join(f"x{i}/{i}" for i in sorted(range(800), key=str)) + "}>",
+            ),
+            ("exists y. " * 800 + "y = 1", "<{} | {}>"),
+        ],
+        ids=["800-conjuncts", "800-exists"],
+    )
+    def test_deep_nesting_at_the_default_recursion_limit(self, capsys, formula, answer):
+        # the evaluator spends one Python frame per nesting level
+        capsys.readouterr()
+        assert main(["eval", "--algebra", "int", "--policy", "atoms", formula]) == 0
+        assert capsys.readouterr() == (answer + "\n", "")
+
     def test_policy_choices_come_from_the_registry(self, capsys):
         assert main(["eval", "--policy", "nope", "x = 1"]) == 3
         assert ", ".join(f"'{name}'" for name in sorted(POLICIES)) in capsys.readouterr().err

@@ -4,7 +4,7 @@ from hypothesis import given
 
 from folc.algebra import EMPTY_SUBST, JSubst, make_subst, parse_subst
 from folc.corpus import gen_formula
-from folc.infer import get_policy
+from folc.infer import InferPolicy, get_policy
 from folc.oracle import IntervalBound, models
 from folc import semantics
 from folc.semantics import eval_set, evaluate, make_context
@@ -109,6 +109,38 @@ class TestExistsClause:
 
     def test_inconsistent_inner_states_filtered(self, int_alg):
         assert run("exists w. (w = 1 & w = 2)", int_alg, policy="atoms") == ()
+
+
+class _Marking(InferPolicy):
+    """atoms, with the false marker 1 < 0 added to each non-error answer.
+
+    No shipped policy answers an inconsistent state; this one answers only
+    those, so the clauses' consistency filters decide every output below.
+    """
+
+    name = "marking"
+
+    def __init__(self, J):
+        self.mark = parse_formula("1 < 0", J.signature)
+
+    def apply(self, sigma, J):
+        unmarked = Pair(Store([f for f in sigma.store if f != self.mark]), sigma.subst)
+        out = get_policy("atoms").apply(unmarked, J)
+        return tuple(s if s is ERROR else Pair(s.store.add(self.mark), s.subst) for s in out)
+
+
+class TestConsistencyFilters:
+    def answers(self, text, J):
+        ctx = make_context(J, _Marking(J))
+        return [str(s) for s in evaluate(parse_formula(text, J.signature), Pair(EMPTY_STORE, EMPTY_SUBST), ctx)]
+
+    def test_negation_filters_its_body(self, int_alg):
+        # the body's one answer <1 < 0 | {x/1}> is inconsistent: case (a), keep the input state
+        assert self.answers("~(x = 1)", int_alg) == ["<1 < 0 | {}>"]
+
+    def test_exists_filters_its_body(self, int_alg):
+        # the body's one answer is inconsistent, so nothing survives to DROP
+        assert self.answers("exists y. y = x", int_alg) == []
 
 
 class TestErrorClause:

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given
 
 from folc import syntax
+from folc.algebra import EMPTY_SUBST
+from folc.state import Pair, Store
 from folc.syntax import (
     And,
     App,
+    Atom,
     BOTTOM,
     Eq,
     Exists,
@@ -218,6 +221,26 @@ class TestRoundTrip:
         assert str(Val(Fraction(3, 2))) == "3/2"
         assert str(App("f", (x, App("a")))) == "f(x, a)"
         assert str(BOTTOM) == "false"
+
+    def test_value_leaves_print_as_str_of_their_value(self):
+        # ints, negative ints, integral and non-integral rationals, alone and inside compound terms
+        leaves = [
+            (Val(7), "7"),
+            (Val(-7), "-7"),
+            (Val(Fraction(4)), "4"),
+            (Val(Fraction(-4)), "-4"),
+            (Val(Fraction(1, 2)), "1/2"),
+            (Val(Fraction(-7, 2)), "-7/2"),
+        ]
+        for v, text in leaves:
+            assert term_to_str(v) == text
+            t = App("+", (App("*", (v, x)), v))
+            assert str(t) == f"{text} * x + {text}"
+            f = And(Atom("<", v, y), Not(Eq(x, t)))
+            printed = f"{text} < y & ~(x = {text} * x + {text})"
+            assert str(f) == printed
+            assert str(Store([f, Eq(y, v)])) == f"{printed}; y = {text}"
+            assert str(Pair(Store([Eq(y, v)]), EMPTY_SUBST)) == f"<y = {text} | {{}}>"
 
     def test_printing_shapes(self):
         assert formula_to_str(Not(Eq(x, Val(1)))) == "~(x = 1)"
