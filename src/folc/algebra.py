@@ -165,28 +165,29 @@ class JSubst:
     The name-to-value dict is the substitution.  Normal form: no x/x
     binding, every value a j_eval fixpoint.  Build instances through
     make_subst, compose or without.  bindings, the pairs in name order, is
-    derived for the readers that see order: the printer, domain and repr.
+    sorted anew on each read, for the readers that see order: the printer,
+    domain and repr.
 
     The hash is additive, the sum of the mixed pair hashes (_mix), so that
     compose and without can update it by difference; they carry it only
     once it has been computed, since most substitutions are never hashed
-    (state.dedup hashes no state of a one-state answer set).  It, bindings
-    and the value-variable index are computed on first use and kept in
-    slots; == compares the maps.  Like App's, the hash holds only in the
-    process that computed it.
+    (state.dedup hashes no state of a one-state answer set).  It and the
+    value-variable index are computed on first use and kept in slots; ==
+    compares the maps.  Like App's, the hash holds only in the process that
+    computed it.
     """
 
-    __slots__ = ("_mapping", "_vars", "_hash", "_bindings")
+    __slots__ = ("_mapping", "_vars", "_hash")
 
     def __init__(self, bindings=()):
         self._mapping = dict(bindings)
-        self._vars = self._hash = self._bindings = None
+        self._vars = self._hash = None
 
     @classmethod
     def _of(cls, mapping: dict, value_vars=None, h=None) -> JSubst:
         """A substitution that takes over mapping, with the caches already known."""
         s = object.__new__(cls)
-        s._mapping, s._vars, s._hash, s._bindings = mapping, value_vars, h, None
+        s._mapping, s._vars, s._hash = mapping, value_vars, h
         return s
 
     def __eq__(self, other):
@@ -202,9 +203,7 @@ class JSubst:
 
     @property
     def bindings(self) -> tuple[tuple[str, Term], ...]:
-        if self._bindings is None:
-            self._bindings = tuple(sorted(self._mapping.items()))
-        return self._bindings
+        return tuple(sorted(self._mapping.items()))
 
     @property
     def _value_vars(self) -> dict[str, frozenset[str]]:

@@ -50,7 +50,6 @@ from .state import (
     classify,
     dedup,
     drop_subst,
-    pair,
 )
 from .syntax import (
     ATOM_TYPES,
@@ -522,9 +521,9 @@ def baseline_infer(sigma, J: Algebra):
     if len(sigma.store) == 1 and isinstance(f, ATOMIC_TYPES):
         outcome = LITERALS.resolve(f, sigma.subst, J)
         if outcome[0] == "bind":
-            return (pair((), outcome[1]),)
+            return (Pair(EMPTY_STORE, outcome[1]),)
         if outcome[0] == "drop":
-            return (pair((), sigma.subst),)
+            return (Pair(EMPTY_STORE, sigma.subst),)
         if outcome[0] == "fail":
             return ()
     return (ERROR,)

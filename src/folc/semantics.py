@@ -116,8 +116,12 @@ def _eval(phi: Formula, sigma, ctx: EvalContext):
     elif isinstance(phi, Or):
         result = dedup(_eval(phi.lhs, sigma, ctx) + _eval(phi.rhs, sigma, ctx))
     elif isinstance(phi, And):
-        # the lhs answers hold only the inputs' names and issued ones: nothing to prime
-        result = dedup([s for st in _eval(phi.lhs, sigma, ctx) for s in _eval(phi.rhs, st, ctx)])
+        # the lhs answers hold only the inputs' names and issued ones: nothing to prime;
+        # a loop, as a comprehension is a frame of its own on 3.10 and 3.11
+        out = []
+        for st in _eval(phi.lhs, sigma, ctx):
+            out += _eval(phi.rhs, st, ctx)
+        result = dedup(out)
     elif isinstance(phi, Not):
         # one filter serves both tests: it keeps error, which never equals sigma
         inner = cons_plus(_eval(phi.body, sigma, ctx), ctx.algebra)

@@ -551,16 +551,6 @@ def write_to(out: list, x) -> None:
     values of a unification chain, is opened in one step and closed by one
     piece.
     """
-    cls = type(x)
-    if cls is Var:
-        out.append(x.name)
-        return
-    if cls is Val:
-        out.append(str(x.value))
-        return
-    if cls is App and not x.args:
-        out.append(x.symbol)
-        return
     put = out.append
     stack = [x]
     push = stack.append

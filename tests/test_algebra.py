@@ -21,6 +21,7 @@ from folc.algebra import (
     rat_algebra,
 )
 from folc import infer, semantics, state, syntax
+from folc.cli import state_to_json
 from folc.syntax import App, Atom, Eq, Neq, Val, Var, parse_formula, parse_term, term_vars
 from conftest import herb_terms, int_terms, rat_terms
 
@@ -370,6 +371,26 @@ class TestSubstPrinter:
             [("x", a), ("y", T("f(f(g(a, f(z))))", herb)), ("z", T("g(f(b), g(x, c))", herb))]
         )
         assert str(theta) == "{x/a, y/f(f(g(a, f(z)))), z/g(f(b), g(x, c))}"
+
+    def test_a_herbrand_constant_value_reads_alike_through_every_reader(self, herb):
+        a = App("a", ())
+        theta = JSubst([("y", T("f(a)", herb)), ("x", a)])
+        sigma = state.Pair(state.EMPTY_STORE, theta)
+        assert str(a) == "a"
+        assert str(sigma) == "<{} | {x/a, y/f(a)}>"
+        assert repr(theta) == (
+            "JSubst(bindings=(('x', App(symbol='a', args=())), "
+            "('y', App(symbol='f', args=(App(symbol='a', args=()),)))))"
+        )
+        assert theta.domain() == ("x", "y")
+        assert state_to_json(sigma) == {"store": [], "subst": {"x": "a", "y": "f(a)"}}
+
+    def test_bindings_sort_by_name_string(self):
+        # digit counts differ: $u10 sorts before $u9, as strings do
+        theta = JSubst([("x", Val(1)), ("$u9", Val(2)), ("$u10", x)])
+        assert [n for n, _ in theta.bindings] == ["$u10", "$u9", "x"]
+        assert theta.domain() == ("$u10", "$u9", "x")
+        assert str(theta) == "{$u10/x, $u9/2, x/1}"
 
     def test_sums_that_need_parentheses(self):
         one, half = Val(1), Val(Fraction(1, 2))

@@ -79,9 +79,13 @@ class TestEvalCommand:
                 " & ".join(f"x{i} = {i}" for i in range(800)),
                 "<{} | {" + ", ".join(f"x{i}/{i}" for i in sorted(range(800), key=str)) + "}>",
             ),
+            (
+                "".join(f"x{i} = {i} & (" for i in range(799)) + "x799 = 799" + ")" * 799,
+                "<{} | {" + ", ".join(f"x{i}/{i}" for i in sorted(range(800), key=str)) + "}>",
+            ),
             ("exists y. " * 800 + "y = 1", "<{} | {}>"),
         ],
-        ids=["800-conjuncts", "800-exists"],
+        ids=["800-conjuncts", "800-right-nested-conjuncts", "800-exists"],
     )
     def test_deep_nesting_at_the_default_recursion_limit(self, capsys, formula, answer):
         # the evaluator spends one Python frame per nesting level

@@ -4,7 +4,8 @@ Each law follows from the clause definitions alone, so it holds on every
 answer set, error states included, where the oracle checks only the
 non-error ones.  Answers are compared after renaming their machine-fresh
 $u names in order of first appearance: a law's two sides may issue fresh
-names in a different order or number.
+names in a different order or number.  The law on the inputs' own $u names
+compares the printed answers themselves, since it is about those names.
 """
 
 import functools
@@ -13,11 +14,12 @@ import re
 
 import pytest
 
-from folc.algebra import herbrand_algebra, int_algebra, rat_algebra
+from folc.algebra import JSubst, apply_subst, herbrand_algebra, int_algebra, rat_algebra
 from folc.corpus import soundness_corpus
 from folc.infer import POLICIES, get_policy
 from folc.semantics import eval_set, evaluate, make_context
-from folc.syntax import And, Exists, Not, Or, rename_free
+from folc.state import Pair, Store
+from folc.syntax import And, Exists, Not, Or, Var, rename_free
 
 INT = int_algebra()
 HERB = herbrand_algebra([("f", 1), ("g", 2), ("a", 0), ("b", 0)])
@@ -88,6 +90,24 @@ def law_vacuous_exists(ev, phi, psi, chi, sigma, answers):
     return canonical(ev(Exists("q", phi), sigma)), answers
 
 
+def with_z_renamed(phi, sigma, name):
+    """phi and sigma with z renamed name: free in formulas, bound by sigma or in its values."""
+    to = {"z": Var(name)}
+    theta = JSubst([(name if n == "z" else n, apply_subst(t, to)) for n, t in sigma.subst.bindings])
+    store = Store([rename_free(f, "z", name) for f in sigma.store])
+    return rename_free(phi, "z", name), Pair(store, theta)
+
+
+def law_input_fresh_names_shift_the_answers(ev, phi, psi, chi, sigma, answers):
+    # issued names start past the inputs' $u names; both have three digits, so
+    # shifting every $u<k> by 100 keeps name order and the printed order of bindings
+    def printed(name):
+        return [str(s) for s in ev(*with_z_renamed(phi, sigma, name))]
+
+    shifted = [_FRESH.sub(lambda m: f"$u{int(m.group()[2:]) + 100}", s) for s in printed("$u100")]
+    return printed("$u200"), shifted
+
+
 LAWS = [
     law_alpha,
     law_or_associative,
@@ -95,6 +115,7 @@ LAWS = [
     law_or_idempotent,
     law_and_is_the_lift,
     law_vacuous_exists,
+    law_input_fresh_names_shift_the_answers,
 ]
 
 

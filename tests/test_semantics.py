@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given
 
 from folc.algebra import EMPTY_SUBST, JSubst, make_subst, parse_subst
@@ -10,7 +11,7 @@ from folc import semantics
 from folc.semantics import eval_set, evaluate, make_context
 from folc.state import ERROR, EMPTY_STORE, Pair, Store, pair
 from folc import syntax
-from folc.syntax import And, Not, parse_formula, parse_term
+from folc.syntax import And, Not, parse_formula, parse_substitution_pairs, parse_term
 from conftest import int_formulas
 
 B = IntervalBound(-3, 3)
@@ -198,6 +199,18 @@ class TestFreshNames:
         assert not any(
             "$u1 = 1" in e["formula"] for e in events if e["event"] == "clause"
         )
+
+    @pytest.mark.parametrize("theta, issued", [("{$u4/1}", "$u5"), ("{y/$u7 + 1}", "$u8")])
+    def test_counter_primed_past_the_substitutions_names(self, int_alg, theta, issued):
+        # a $u name the substitution binds, or one in a value, is not issued again
+        pairs = parse_substitution_pairs(theta, int_alg.signature, allow_fresh=True)
+        events = []
+        ctx = make_context(int_alg, get_policy("atoms"), trace=events.append)
+        phi = parse_formula("exists w. w < z", int_alg.signature)
+        evaluate(phi, Pair(EMPTY_STORE, make_subst(pairs, int_alg)), ctx)
+        assert {e["formula"] for e in events if e["event"] == "clause" and "$" in e["formula"]} == {
+            f"{issued} < z"
+        }
 
     def test_quantifier_free_evaluation_never_primes(self, int_alg, monkeypatch):
         def refuse(*args):
