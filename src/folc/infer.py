@@ -268,10 +268,10 @@ class InferPolicy:
 
 
 def _watched(f: Formula) -> frozenset:
-    """free_vars(f), kept on the node as App keeps its hash, as the attribute _watched."""
-    vs = f.__dict__.get("_watched")
+    """free_vars(f), computed once per node and kept in its _watched slot."""
+    vs = f._watched
     if vs is None:
-        vs = f.__dict__["_watched"] = frozenset(free_vars(f))
+        vs = f._watched = frozenset(free_vars(f))
     return vs
 
 
@@ -345,15 +345,15 @@ def aux(policy: StorePolicy, sigma, J: Algebra, last=None):
                     e if changed.isdisjoint(_watched(e[0])) else (e[0], None, None)
                     for e in entries
                 ]
-                # Each prefix item's set is read in place, without a Python call
-                # per item: on CPython 3.11 a call whose frame falls just past
-                # the end of a frame-stack chunk maps and unmaps a fresh chunk,
-                # a page fault per call, and where chunks end moves with every
-                # frame size on the stack.
+                # Each prefix item's _watched slot is read in place, without a
+                # Python call per item: on CPython 3.11 a call whose frame falls
+                # just past the end of a frame-stack chunk maps and unmaps a
+                # fresh chunk, a page fault per call, and where chunks end moves
+                # with every frame size on the stack.
                 woken = [
                     i
                     for i in prefix
-                    if not changed.isdisjoint(getattr(items[i], "_watched", None) or _watched(items[i]))
+                    if not changed.isdisjoint(items[i]._watched or _watched(items[i]))
                 ]
     if removed:
         kept = items[:known] if len(prefix) == known else tuple(items[i] for i in prefix)

@@ -19,7 +19,7 @@ class Store:
     one-formula shortcut, closed it: its first n items are passive under
     one (policy, algebra, substitution), compared by identity.  add
     carries the record forward; every other constructor starts without
-    one.  Like the hash caches of App and JSubst, the record
+    one.  Like the cached hashes of JSubst and Pair, the record
     is outside equality and hashing.
     """
 

@@ -35,7 +35,6 @@ the default recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 FRESH_PREFIX = "$"
@@ -53,105 +52,226 @@ def max_fresh_index(names) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Nodes
+
+
+class _Node:
+    """A term or formula node: slotted, hashed once, compared without recursion.
+
+    Each class names its fields once, in constructor order, in _fields.  A
+    node's hash is the hash of its field tuple, the value a frozen dataclass
+    gives; the children are built, and so hashed, first, so __init__ hashes
+    in O(1) and nothing recurses.  == tests identity, then class, then the
+    cached hash, and then walks both trees over an explicit stack, so it
+    takes any nesting depth at the default recursion limit.  str hashes
+    differ between processes, so a hash holds only in the process that made
+    it.  Nodes are immutable by convention: nothing writes a field after
+    __init__.
+    """
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        pop, push = todo.pop, todo.append
+        while todo:
+            a, b = pop()
+            if a is b:
+                continue
+            if isinstance(a, _Node):
+                if a.__class__ is not b.__class__ or a._hash != b._hash:
+                    return False
+                for name in a._fields:
+                    push((getattr(a, name), getattr(b, name)))
+            elif a.__class__ is tuple:
+                if b.__class__ is not tuple or len(a) != len(b):
+                    return False
+                todo.extend(zip(a, b))
+            elif a != b:
+                return False
+        return True
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    @property
+    def __dict__(self) -> dict:
+        """The fields by name, read-only and fresh on each read.
+
+        It serves readers that walk nodes through vars(), such as the
+        benchmark's _free_names in bench/workloads.py.
+        """
+        return {name: getattr(self, name) for name in self._fields}
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(_Node):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return term_to_str(self)
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+        self._hash = hash((name,))
+
+    def __eq__(self, other):
+        if other.__class__ is Var:
+            return self.name == other.name
+        return NotImplemented
+
+    __hash__ = _Node.__hash__
 
 
-@dataclass(frozen=True)
 class App(Term):
-    symbol: str
-    args: tuple[Term, ...] = ()
+    __slots__ = ("symbol", "args")
+    _fields = ("symbol", "args")
 
-    def __hash__(self) -> int:
-        # The dataclass field hash, computed once per node: otherwise every set
-        # a deep spine enters rehashes it in full.  It lives in the instance
-        # dict (written directly, past the frozen setattr), outside the fields,
-        # so ==, repr and fields() ignore it.  str hashes differ between
-        # processes, so the value holds only in the process that computed it.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.symbol, self.args))
-        return h
+    def __init__(self, symbol: str, args: tuple[Term, ...] = ()):
+        self.symbol = symbol
+        self.args = args
+        self._hash = hash((symbol, args))
 
 
-@dataclass(frozen=True)
 class Val(Term):
     """A leaf holding a domain element of the active algebra."""
 
-    value: object
+    __slots__ = ("value",)
+    _fields = ("value",)
+
+    def __init__(self, value: object):
+        self.value = value
+        self._hash = hash((value,))
+
+    def __eq__(self, other):
+        if other.__class__ is Val:
+            return self.value == other.value
+        return NotImplemented
+
+    __hash__ = _Node.__hash__
 
 
 # ---------------------------------------------------------------------------
 # Formulas
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(_Node):
+    """A formula node.  _watched holds infer's frozenset of its free variables once computed, else None."""
+
+    __slots__ = ("_watched",)
+
     def __str__(self) -> str:
         return formula_to_str(self)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
     """An order comparison, lhs < rhs or lhs <= rhs."""
 
-    rel: str
-    lhs: Term
-    rhs: Term
+    __slots__ = ("rel", "lhs", "rhs")
+    _fields = ("rel", "lhs", "rhs")
+
+    def __init__(self, rel: str, lhs: Term, rhs: Term):
+        self.rel = rel
+        self.lhs = lhs
+        self.rhs = rhs
+        self._hash = hash((rel, lhs, rhs))
+        self._watched = None
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
-    lhs: Term
-    rhs: Term
+    __slots__ = ("lhs", "rhs")
+    _fields = ("lhs", "rhs")
     rel = "="
 
+    def __init__(self, lhs: Term, rhs: Term):
+        self.lhs = lhs
+        self.rhs = rhs
+        self._hash = hash((lhs, rhs))
+        self._watched = None
 
-@dataclass(frozen=True)
+
 class Neq(Formula):
     """The disequation spelling s /= t; distinct node from Not(Eq(s, t))."""
 
-    lhs: Term
-    rhs: Term
+    __slots__ = ("lhs", "rhs")
+    _fields = ("lhs", "rhs")
     rel = "/="
 
+    def __init__(self, lhs: Term, rhs: Term):
+        self.lhs = lhs
+        self.rhs = rhs
+        self._hash = hash((lhs, rhs))
+        self._watched = None
 
-@dataclass(frozen=True)
+
 class Not(Formula):
-    body: Formula
+    __slots__ = ("body",)
+    _fields = ("body",)
+
+    def __init__(self, body: Formula):
+        self.body = body
+        self._hash = hash((body,))
+        self._watched = None
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
+    _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Formula, rhs: Formula):
+        self.lhs = lhs
+        self.rhs = rhs
+        self._hash = hash((lhs, rhs))
+        self._watched = None
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
+    _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Formula, rhs: Formula):
+        self.lhs = lhs
+        self.rhs = rhs
+        self._hash = hash((lhs, rhs))
+        self._watched = None
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    var: str
-    body: Formula
+    __slots__ = ("var", "body")
+    _fields = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        self.var = var
+        self.body = body
+        self._hash = hash((var, body))
+        self._watched = None
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
     """The always-false formula, read from the keyword `false`."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        self._hash = hash(())
+        self._watched = None
 
 
 BOTTOM = Bottom()

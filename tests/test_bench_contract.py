@@ -1,27 +1,39 @@
-"""The names the benchmark's tracer wraps must exist in the sources.
+"""What the benchmark reads of the sources must exist and keep its meaning.
 
 bench/tracing.py finds what it wraps by name; a renamed or deleted function
-would otherwise break only `bench/run.py --trace 1`.  The module is loaded
-from its file and used as it is.
+would otherwise break only `bench/run.py --trace 1`.  bench/workloads.py
+walks nodes through vars(), which the nodes' read-only __dict__ view
+serves.  Both modules are loaded from their files and used as they are.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-from folc import algebra, infer, semantics, state, syntax
+from folc import algebra, corpus, infer, semantics, state, syntax
 from folc.algebra import int_algebra
 
-_TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"folc_bench_{name}", _BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the file runs
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("folc_bench_tracing", _TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_every_traced_binding_resolves(tracing):
@@ -49,3 +61,11 @@ def test_traced_evaluation_counts_the_term_and_policy_layers(tracing):
     assert metrics["algebra.apply_subst.calls"] > 0
     assert metrics["infer.resolve.calls"] > 0
     assert {name: value for name, value in vars(algebra).items() if callable(value)} == before
+
+
+def test_the_bench_free_names_walk_agrees_with_free_vars(workloads):
+    for name, (J, _) in workloads.policy_algebras().items():
+        for phi, sigma in corpus.soundness_corpus(11, J, name, 60):
+            assert workloads._free_names(phi) == syntax.free_vars(phi), (name, str(phi))
+            for f in sigma.store:
+                assert workloads._free_names(f) == syntax.free_vars(f), (name, str(f))

@@ -73,24 +73,28 @@ class TestEvalCommand:
         assert captured.err.splitlines() == ["folc: formula nests too deeply for the recursive walks"]
 
     @pytest.mark.parametrize(
-        "formula, answer",
+        "formula, answer, code",
         [
             (
                 " & ".join(f"x{i} = {i}" for i in range(800)),
                 "<{} | {" + ", ".join(f"x{i}/{i}" for i in sorted(range(800), key=str)) + "}>",
+                0,
             ),
             (
                 "".join(f"x{i} = {i} & (" for i in range(799)) + "x799 = 799" + ")" * 799,
                 "<{} | {" + ", ".join(f"x{i}/{i}" for i in sorted(range(800), key=str)) + "}>",
+                0,
             ),
-            ("exists y. " * 800 + "y = 1", "<{} | {}>"),
+            ("exists y. " * 800 + "y = 1", "<{} | {}>", 0),
+            # atoms stores no negation, so the answer is error: exit 1, not the resource limit's 4
+            ("~" * 800 + "x = 1", "error", 1),
         ],
-        ids=["800-conjuncts", "800-right-nested-conjuncts", "800-exists"],
+        ids=["800-conjuncts", "800-right-nested-conjuncts", "800-exists", "800-negations"],
     )
-    def test_deep_nesting_at_the_default_recursion_limit(self, capsys, formula, answer):
-        # the evaluator spends one Python frame per nesting level
+    def test_deep_nesting_at_the_default_recursion_limit(self, capsys, formula, answer, code):
+        # the evaluator spends one Python frame per nesting level, and hash and == none
         capsys.readouterr()
-        assert main(["eval", "--algebra", "int", "--policy", "atoms", formula]) == 0
+        assert main(["eval", "--algebra", "int", "--policy", "atoms", formula]) == code
         assert capsys.readouterr() == (answer + "\n", "")
 
     def test_policy_choices_come_from_the_registry(self, capsys):

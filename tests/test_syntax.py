@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -257,7 +256,7 @@ def _rebuild(t):
 
 
 class TestCachedHash:
-    """App caches its hash; the cache must not show in hash, ==, repr or fields()."""
+    """Every node caches its hash when it is built; the cache must not show in hash, == or repr."""
 
     @given(herb_terms())
     def test_hash_is_the_field_hash(self, t):
@@ -280,11 +279,26 @@ class TestCachedHash:
         hash(t)
         assert repr(t) == before
         assert before == "App(symbol='f', args=(App(symbol='g', args=(Var(name='x'), App(symbol='a', args=()))),))"
-        assert [f.name for f in dataclasses.fields(App)] == ["symbol", "args"]
+        assert repr(Exists("x", Not(Eq(x, Val(1))))) == (
+            "Exists(var='x', body=Not(body=Eq(lhs=Var(name='x'), rhs=Val(value=1))))"
+        )
+        assert repr(Atom("<", x, y)) == "Atom(rel='<', lhs=Var(name='x'), rhs=Var(name='y'))"
+        assert repr(BOTTOM) == "Bottom()"
+        assert t == App("f", (App("g", (x, App("a"))),)) and t != App("f", (App("g", (x, App("b"))),))
+        assert Eq(x, y) != Neq(x, y) and Eq(x, y).__eq__(Neq(x, y)) is NotImplemented
+        for node in (x, Val(2), t, Atom("<", x, y), Eq(x, y), Neq(x, y), Not(BOTTOM), And(BOTTOM, BOTTOM),
+                     Or(BOTTOM, BOTTOM), Exists("x", BOTTOM), BOTTOM):
+            assert hash(node) == hash(tuple(getattr(node, name) for name in node._fields))
+        # a node class without __slots__ of its own would get an instance dict
+        classes = [syntax.Term, syntax.Formula]
+        while classes:
+            cls = classes.pop()
+            assert "__slots__" in vars(cls), cls.__name__
+            classes.extend(cls.__subclasses__())
 
 
 def _same_tree(a, b) -> bool:
-    """== on syntax trees by an explicit-stack walk; the dataclass == recurses."""
+    """== on syntax trees by a walk of its own over _fields, so that it does not test == with ==."""
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()
@@ -294,8 +308,8 @@ def _same_tree(a, b) -> bool:
             if len(a) != len(b):
                 return False
             stack.extend(zip(a, b))
-        elif dataclasses.is_dataclass(a):
-            stack.extend((getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+        elif isinstance(a, (syntax.Term, syntax.Formula)):
+            stack.extend((getattr(a, name), getattr(b, name)) for name in a._fields)
         elif a != b:
             return False
     return True
@@ -332,6 +346,68 @@ class TestDeepInputs:
         assert _same_tree(parse_term(term_to_str(t), herb.signature), t)
         f, printed = self.round_trip(f"{text} = a", herb.signature)
         assert printed == f"{text} = a"
+
+
+def _conjunction(n, last=None):
+    f = Eq(Var("x0"), Val(0))
+    for i in range(1, n):
+        f = And(f, Eq(Var(f"x{i}"), Val(i) if last is None or i < n - 1 else last))
+    return f
+
+
+def _spine(n, leaf):
+    t = leaf
+    for _ in range(n):
+        t = App("f", (t,))
+    return t
+
+
+class TestNodeEquality:
+    """hash and == take no Python frame per level and never trust a hash match alone."""
+
+    def test_long_conjunction_built_twice(self):
+        a, b = _conjunction(5000), _conjunction(5000)
+        assert a is not b and hash(a) == hash(b) and a == b
+        assert a != _conjunction(5000, last=Val(-1))
+        assert _conjunction(5000, last=Val(-1)) != _conjunction(5000, last=Val(-2))
+        assert len({a, b, _conjunction(5000)}) == 1
+
+    def test_deep_term_built_twice(self):
+        a, b = _spine(8000, x), _spine(8000, x)
+        assert a is not b and hash(a) == hash(b) and a == b
+        assert a != _spine(8000, y)
+        assert _spine(8000, Val(-1)) != _spine(8000, Val(-2))
+        assert Eq(a, x) == Eq(b, x) and Not(Eq(a, x)) != Not(Eq(_spine(8000, y), x))
+
+    def test_a_hash_match_is_not_equality(self):
+        one, two = Val(-1), Val(-2)
+        assert hash(one) == hash(two)  # CPython: hash(-1) == hash(-2)
+        assert one != two and not one == two
+        f, g = Eq(one, x), Eq(two, x)
+        assert hash(f) == hash(g)
+        # every node-valued field of every class, each on its own
+        pairs = [
+            (App("h", (one, x)), App("h", (two, x))),
+            (App("h", (x, one)), App("h", (x, two))),
+            (Atom("<", one, x), Atom("<", two, x)),
+            (Atom("<", x, one), Atom("<", x, two)),
+            (Eq(x, one), Eq(x, two)),
+            (Neq(one, x), Neq(two, x)),
+            (Neq(x, one), Neq(x, two)),
+            (Not(f), Not(g)),
+            (And(f, BOTTOM), And(g, BOTTOM)),
+            (And(BOTTOM, f), And(BOTTOM, g)),
+            (Or(f, BOTTOM), Or(g, BOTTOM)),
+            (Or(BOTTOM, f), Or(BOTTOM, g)),
+            (Exists("x", f), Exists("x", g)),
+            (f, g),
+        ]
+        for a, b in pairs:
+            assert hash(a) == hash(b), a
+            assert a != b and b != a, a
+        assert Store((f,)) != Store((g,))
+        assert g not in Store((f,)) and Store((f,)).add(g).items == (f, g)
+        assert Pair(Store((f,)), EMPTY_SUBST) != Pair(Store((g,)), EMPTY_SUBST)
 
 
 class _CountedTokens(list):
