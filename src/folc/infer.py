@@ -16,14 +16,15 @@ isinstance tests on the formula and, for a negation, on its body.
 Every atom reads as its relation and two sides (f.rel, f.lhs, f.rhs), and
 the algebra's relations table decides it.  Every decision on one
 constraint, by a resolve rule, by equation_step or by rewrite_linear,
-answers in one vocabulary: ('bind', theta') with the new substitution,
-('drop',), ('fail',) or ('passive',) when the constraint cannot be decided
-yet.  The baseline reads passive as error.  aux reaches the fixpoint of a
-repeated step (resolve every constraint once, act on the last active one)
-but resolves again only the constraints a binding touches; that step is
-the test reference in tests/test_infer.py.  apply resolves the one formula
-past a closed prefix itself, and calls aux only when it binds into a
-non-empty prefix.
+answers in one vocabulary: ('bind', eta), with eta what acting on it
+composes onto theta, ('drop',), ('fail',) or ('passive',) when the
+constraint cannot be decided yet.  A verdict depends only on the constraint
+and on theta restricted to its free variables.  The baseline reads passive
+as error.  aux reaches the fixpoint of a repeated step (resolve every
+constraint once, act on the last active one) but resolves again only the
+constraints a binding touches; that step is the test reference in
+tests/test_infer.py.  apply resolves the one formula past a closed prefix
+itself, and calls aux only when it binds into a non-empty prefix.
 """
 
 from __future__ import annotations
@@ -119,9 +120,10 @@ def mgu(s: Term, t: Term):
 
 
 def equation_step(s: Term, t: Term, theta: JSubst, J: Algebra):
-    """One equation resolution: ('bind', theta'), ('drop',), ('fail',) or ('passive',).
+    """One equation resolution: ('bind', eta), ('drop',), ('fail',) or ('passive',).
 
-    bind: one side applies to a variable absent from the other side.
+    bind: one side applies to a variable absent from the other side, and
+    eta binds that variable to the other side.
     drop: both sides have identical J-values.  fail: ground with distinct
     values.  passive: anything else (the equation is not decidable yet).
     """
@@ -130,8 +132,7 @@ def equation_step(s: Term, t: Term, theta: JSubst, J: Algebra):
     if isinstance(ta, Var) and not isinstance(sa, Var):
         sa, ta = ta, sa
     if isinstance(sa, Var) and sa.name not in term_vars(ta):
-        eta = make_subst([(sa.name, ta)], J)
-        return ("bind", compose(theta, eta, J))
+        return ("bind", make_subst([(sa.name, ta)], J))
     if j_eval(sa, J) == j_eval(ta, J):
         return ("drop",)
     if term_is_ground(sa) and term_is_ground(ta):
@@ -224,10 +225,10 @@ def rewrite_linear(e: Eq, theta: JSubst, J: Algebra):
     """Resolve (lhs = rhs) under theta by reading lhs - rhs as a linear form.
 
     ('drop',) for 0 = 0, ('fail',) for r = 0 with r nonzero, ('passive',)
-    when products of variables survive, otherwise ('bind', theta') with
-    theta' theta composed with the pivot x = u, x the lexicographically
-    first variable with a nonzero coefficient.  Every number of the pivot's
-    value is a Fraction, as the algebra's own numbers are.
+    when products of variables survive, otherwise ('bind', eta) with eta the
+    pivot x = u, x the lexicographically first variable with a nonzero
+    coefficient.  Every number of the pivot's value is a Fraction, as the
+    algebra's own numbers are.
     """
     form = _linear_form(e.lhs, e.rhs, theta)
     if form is None:
@@ -240,7 +241,7 @@ def rewrite_linear(e: Eq, theta: JSubst, J: Algebra):
     u = _affine_term(
         Fraction(-const, cx), {v: Fraction(-c, cx) for v, c in coeffs.items() if v != x}
     )
-    return ("bind", compose(theta, make_subst([(x, u)], J), J))
+    return ("bind", make_subst([(x, u)], J))
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +282,10 @@ def aux(policy: StorePolicy, sigma, J: Algebra, last=None):
     Each round acts as the step of tests/test_infer.py does, on the last
     active constraint, and leaves the passive constraints followed by the
     remaining active ones; but a verdict is kept across rounds until a bind
-    may have moved it.  resolve reads theta only through the values of the
-    constraint's free variables, so its verdict holds until a bind gives
-    one of those names another value object or binds or unbinds it (compose
-    keeps every untouched binding as the same object).  A bind outcome also
-    carries the new substitution, so it is acted on only when it was
-    computed under the current theta.
+    may have moved it: until a bind gives one of the constraint's free
+    variables another value object or binds or unbinds it (compose keeps
+    every untouched binding as the same object).  Acting on a bind composes
+    the current theta with its eta.
 
     last, if given, is (outcome, theta'): what resolve gave for the store's
     last item under theta'.  It stands for that item's first resolve when
@@ -307,10 +306,10 @@ def aux(policy: StorePolicy, sigma, J: Algebra, last=None):
     known = store.closed_prefix(policy, J, theta)
     prefix = range(known)  # positions of the closed items still passive under theta
     woken = ()  # positions in prefix that the last bind may have moved
-    # (formula, verdict or None while unknown, the theta it was computed under)
-    entries = [(f, None, theta) for f in items[known:]]
+    # (formula, verdict or None while unknown)
+    entries = [(f, None) for f in items[known:]]
     if last is not None and last[1] is theta:
-        entries[-1] = (items[-1], last[0], theta)
+        entries[-1] = (items[-1], last[0])
     removed = []
     while True:
         passive, active = [], []
@@ -320,29 +319,28 @@ def aux(policy: StorePolicy, sigma, J: Algebra, last=None):
                 outcome = policy.resolve(items[i], theta, J)
                 if outcome[0] != "passive":
                     gone.add(i)
-                    active.append((items[i], outcome, theta))
+                    active.append((items[i], outcome))
             if gone:
                 prefix = [i for i in prefix if i not in gone]
         for e in entries:
             if e[1] is None:
-                e = (e[0], policy.resolve(e[0], theta, J), theta)
+                e = (e[0], policy.resolve(e[0], theta, J))
             (passive if e[1][0] == "passive" else active).append(e)
         if not active:
             break
-        f, outcome, under = active.pop()
+        f, outcome = active.pop()
         if outcome[0] == "fail":
             return ()
         removed.append(f)
         entries = passive + active
         woken = ()
         if outcome[0] == "bind":
-            if under is not theta:
-                outcome = policy.resolve(f, theta, J)
-            changed = theta.changed(outcome[1]) if entries or prefix else None
-            theta = outcome[1]
+            bound = compose(theta, outcome[1], J)
+            changed = theta.changed(bound) if entries or prefix else None
+            theta = bound
             if changed:
                 entries = [
-                    e if changed.isdisjoint(_watched(e[0])) else (e[0], None, None)
+                    e if changed.isdisjoint(_watched(e[0])) else (e[0], None)
                     for e in entries
                 ]
                 # Each prefix item's _watched slot is read in place, without a
@@ -377,7 +375,7 @@ class StorePolicy(InferPolicy):
         self.admits = admits
 
     def resolve(self, f: Formula, theta: JSubst, J: Algebra):
-        """('bind', theta') | ('drop',) | ('fail',) | ('passive',) for one constraint."""
+        """('bind', eta) | ('drop',) | ('fail',) | ('passive',) for one constraint."""
         raise NotImplementedError
 
     def apply(self, sigma, J: Algebra):
@@ -402,10 +400,10 @@ class StorePolicy(InferPolicy):
         changes theta, so aux's first round would act on this formula and
         nothing else: a passive one leaves a fixpoint, the input state; a
         fail is (); a drop leaves the prefix, passive still, so at a
-        fixpoint.  A bind into an empty prefix is the empty store with the
-        new substitution; into a non-empty one it may move prefix items, so
-        aux takes over with the outcome in hand and resolves only the
-        items that watch a changed name.
+        fixpoint.  A bind into an empty prefix is the empty store with theta
+        composed with eta; into a non-empty one it may move prefix items, so
+        aux takes over with the outcome in hand, composes, and resolves only
+        the items that watch a changed name.
         """
         if sigma is ERROR:
             return (ERROR,)
@@ -434,7 +432,7 @@ class StorePolicy(InferPolicy):
             prefix.mark_closed(self, J, theta)
             return (Pair(prefix, theta),)
         if not known:
-            return (Pair(EMPTY_STORE, outcome[1]),)
+            return (Pair(EMPTY_STORE, compose(theta, outcome[1], J)),)
         return aux(self, sigma, J, (outcome, theta))
 
 
@@ -443,9 +441,7 @@ class UnifyPolicy(StorePolicy):
 
     def resolve(self, f, theta, J):
         eta = mgu(apply_subst(f.lhs, theta), apply_subst(f.rhs, theta))
-        if eta is None:
-            return ("fail",)
-        return ("bind", compose(theta, eta, J))
+        return ("fail",) if eta is None else ("bind", eta)
 
 
 class LiteralsPolicy(StorePolicy):
@@ -521,7 +517,7 @@ def baseline_infer(sigma, J: Algebra):
     if len(sigma.store) == 1 and isinstance(f, ATOMIC_TYPES):
         outcome = LITERALS.resolve(f, sigma.subst, J)
         if outcome[0] == "bind":
-            return (Pair(EMPTY_STORE, outcome[1]),)
+            return (Pair(EMPTY_STORE, compose(sigma.subst, outcome[1], J)),)
         if outcome[0] == "drop":
             return (Pair(EMPTY_STORE, sigma.subst),)
         if outcome[0] == "fail":

@@ -15,7 +15,7 @@ from folc.algebra import (
     make_subst,
     parse_subst,
 )
-from folc.corpus import persistence_corpus, soundness_corpus
+from folc.corpus import gen_atom, gen_store_formula, persistence_corpus, soundness_corpus
 from folc.infer import (
     ATOMS,
     BASELINE,
@@ -49,6 +49,7 @@ from folc.syntax import (
     Var,
     free_vars,
     parse_formula,
+    term_vars,
 )
 from conftest import herb_terms, rat_terms
 
@@ -135,8 +136,6 @@ class TestAux:
         # every step either binds a variable of the applied store or
         # consumes a constraint without touching the substitution
         rng = random.Random(3)
-        from folc.corpus import gen_store_formula
-
         cases = [(ATOMS, int_alg), (LITERALS, int_alg), (UNIFY, herb), (DISEQ, herb), (LINEAR, rat_alg)]
         for policy, J in cases:
             for _ in range(60):
@@ -185,7 +184,7 @@ def step(policy, sigma, J):
         return sigma
     if outcome[0] == "fail":
         return None
-    subst = outcome[1] if outcome[0] == "bind" else sigma.subst
+    subst = compose(sigma.subst, outcome[1], J) if outcome[0] == "bind" else sigma.subst
     return Pair(Store(passive + active[:-1]), subst)
 
 
@@ -626,7 +625,7 @@ def _reference_linear_form(t):
 
 
 def reference_rewrite_linear(e, theta, J):
-    """rewrite_linear as apply_subst on both sides, then a recursive walk over Fractions."""
+    """rewrite_linear's pivot from apply_subst on both sides and a recursive walk over Fractions."""
     form = _reference_linear_form(App("-", (apply_subst(e.lhs, theta), apply_subst(e.rhs, theta))))
     if form is None:
         return ("passive",)
@@ -636,7 +635,7 @@ def reference_rewrite_linear(e, theta, J):
     x = min(coeffs)
     cx = coeffs[x]
     u = infer._affine_term(-const / cx, {v: -c / cx for v, c in coeffs.items() if v != x})
-    return ("bind", compose(theta, make_subst([(x, u)], J), J))
+    return ("bind", make_subst([(x, u)], J))
 
 
 _bindings = st.lists(
@@ -693,7 +692,8 @@ class TestRewriteLinearAgainstReference:
         # x's value mentions y, which theta binds too: x - 3 reads y + 1 - 3
         theta = parse_subst("{x/y + 1, y/2}", rat_alg)
         out = self.same(F("x = 3", rat_alg), theta, rat_alg)
-        assert out == ("bind", parse_subst("{x/3, y/2}", rat_alg))
+        assert out == ("bind", parse_subst("{y/2}", rat_alg))
+        assert compose(theta, out[1], rat_alg) == parse_subst("{x/3, y/2}", rat_alg)
 
     @settings(max_examples=200)
     @given(lhs=rat_terms(), rhs=rat_terms(), bindings=_bindings)
@@ -711,7 +711,9 @@ class TestRewriteLinearAgainstReference:
 
 
 class TestResolveVocabulary:
-    """Every decision on one constraint answers ('bind', theta'), ('drop',), ('fail',) or ('passive',)."""
+    """Every decision on one constraint answers ('bind', eta), ('drop',), ('fail',) or ('passive',).
+
+    eta is what acting on the bind composes onto theta."""
 
     def test_undecidable_equation_is_passive(self, int_alg):
         e = F("x + y = 1", int_alg)
@@ -725,6 +727,52 @@ class TestResolveVocabulary:
             assert len(out) == 2 and isinstance(out[1], JSubst)
         else:
             assert len(out) == 1
+
+
+class TestVerdictReadsOnlyItsVariables:
+    """A verdict depends only on the constraint and on theta restricted to its free variables."""
+
+    @pytest.mark.parametrize("name", STORE_POLICIES)
+    def test_theta_agreeing_on_the_free_variables_gives_the_same_verdict(
+        self, name, int_alg, herb, rat_alg
+    ):
+        J = {"unify": herb, "diseq": herb, "linear": rat_alg}.get(name, int_alg)
+        policy = get_policy(name)
+        rng = random.Random(5)
+        names = ["x", "y", "z", "w"]
+
+        def term():  # over the bound names too, so theta need not be idempotent
+            return gen_atom(rng, J, names).lhs
+
+        checked = binds = others = loops = 0
+        while checked < 400:
+            f = gen_store_formula(rng, J, name, names[:3])
+            if not policy.admits(f):
+                continue
+            own = free_vars(f)
+            theta = make_subst([(n, term()) for n in names if rng.random() < 0.6], J)
+            # theta's value objects for f's free variables, anything else elsewhere
+            kept = [(n, v) for n, v in theta.bindings if n in own]
+            theta2 = make_subst(kept + [(n, term()) for n in names if n not in own and rng.random() < 0.6], J)
+            assert all(theta2.get(n) is v for n, v in kept)
+            outcome = policy.resolve(f, theta, J)
+            assert policy.resolve(f, theta2, J) == outcome, (str(f), str(theta), str(theta2))
+            checked += 1
+            binds += outcome[0] == "bind"
+            others += theta2 != theta
+            loops += any(theta.get(n) is not None for _, v in theta.bindings for n in term_vars(v))
+        assert binds >= 20 and others > 300 and loops > 100, (binds, others, loops)
+
+
+def test_a_kept_bind_is_composed_once_and_never_resolved_again(monkeypatch, int_alg):
+    # both equations bind in the first round; y = 2 is acted on first, and
+    # x = 1's verdict, which y does not touch, is acted on as it was kept
+    resolves = _count_resolves(monkeypatch)
+    composes = []
+    monkeypatch.setattr(infer, "compose", lambda *args: composes.append(args) or compose(*args))
+    sigma = pair([F("x = 1", int_alg), F("y = 2", int_alg)], EMPTY_SUBST)
+    assert [str(s) for s in LITERALS.apply(sigma, int_alg)] == ["<{} | {x/1, y/2}>"]
+    assert resolves[0] == 2 and len(composes) == 2
 
 
 _x_lt_y, _x_eq_y = Atom("<", x, y), Eq(x, y)
@@ -775,10 +823,9 @@ class TestLinearPolicy:
         assert result.subst == parse_subst("{x/2}", rat_alg)
         assert nonlinear in result.store
         # under {x/2} the product is linear and becomes active
-        assert LINEAR.resolve(nonlinear, result.subst, rat_alg) == (
-            "bind",
-            parse_subst("{x/2, y/2}", rat_alg),
-        )
+        out = LINEAR.resolve(nonlinear, result.subst, rat_alg)
+        assert out == ("bind", parse_subst("{y/2}", rat_alg))
+        assert compose(result.subst, out[1], rat_alg) == parse_subst("{x/2, y/2}", rat_alg)
 
 
 class TestNonSpecialStates:
