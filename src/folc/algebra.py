@@ -232,13 +232,6 @@ class JSubst:
         vv = None if self._vars is None else {n: vs for n, vs in self._vars.items() if n not in gone}
         return JSubst._of(mapping, vv, h)
 
-    def changed(self, other: JSubst) -> set[str]:
-        """The names other binds to another object than self does, or that only one binds."""
-        a, b = self._mapping, other._mapping
-        out = {n for n, v in b.items() if a.get(n) is not v}
-        out.update(a.keys() - b.keys())
-        return out
-
     def write(self, out: list) -> None:
         """Append the printed substitution to out, {x/t, ...}, as one joined string.
 
@@ -289,9 +282,11 @@ def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
 
     A copy of theta's map in which only the non-ground values that mention
     dom(eta) are rewritten, with one memo per walk across them, plus eta's
-    other bindings.  Every other binding keeps its value object, and gamma's
-    caches are theta's, updated by difference; the hash only when theta has
-    computed it.
+    other bindings.  So the names whose binding changes are exactly those
+    two sets, theta's names whose value mentions dom(eta) (a rewrite to x/x
+    unbinds x) and the names eta binds that theta does not; every other
+    binding keeps its value object.  gamma's caches are theta's, updated by
+    difference; the hash only when theta has computed it.
     """
     old, eta_map = theta._mapping, eta._mapping
     if not eta_map:

@@ -282,10 +282,11 @@ def aux(policy: StorePolicy, sigma, J: Algebra, last=None):
     Each round acts as the step of tests/test_infer.py does, on the last
     active constraint, and leaves the passive constraints followed by the
     remaining active ones; but a verdict is kept across rounds until a bind
-    may have moved it: until a bind gives one of the constraint's free
-    variables another value object or binds or unbinds it (compose keeps
-    every untouched binding as the same object).  Acting on a bind composes
-    the current theta with its eta.
+    may have moved it: until a bind changes one of the constraint's free
+    variables.  Acting on a bind composes the current theta with its eta;
+    the changed names, read from eta and theta before composing, are the
+    names eta binds that theta does not and theta's names whose value
+    mentions a name eta binds: the bindings compose rewrites or adds.
 
     last, if given, is (outcome, theta'): what resolve gave for the store's
     last item under theta'.  It stands for that item's first resolve when
@@ -335,9 +336,10 @@ def aux(policy: StorePolicy, sigma, J: Algebra, last=None):
         entries = passive + active
         woken = ()
         if outcome[0] == "bind":
-            bound = compose(theta, outcome[1], J)
-            changed = theta.changed(bound) if entries or prefix else None
-            theta = bound
+            eta = outcome[1]._mapping  # changed: the names compose rewrites or adds
+            changed = eta.keys() - theta._mapping.keys()
+            changed.update(n for n, vs in theta._value_vars.items() if not vs.isdisjoint(eta))
+            theta = compose(theta, outcome[1], J)
             if changed:
                 entries = [
                     e if changed.isdisjoint(_watched(e[0])) else (e[0], None)

@@ -417,6 +417,20 @@ class TestAuxAgainstRepeatedStep:
         assert str(step(DISEQ, sigma, herb)) == "<f(x) /= z | {y/x, z/f(x)}>"
         assert aux(DISEQ, sigma, herb) == reference_aux(DISEQ, sigma, herb) == ()
 
+    @pytest.mark.parametrize("policy", [ATOMS, LITERALS], ids=lambda p: p.name)
+    def test_a_bind_wakes_the_constraints_on_a_name_whose_value_it_rewrites(self, policy, int_alg):
+        # x < 3 watches x alone, and y = 5 rewrites x's value y + 1 to 6
+        theta = parse_subst("{x/y + 1}", int_alg)
+        ctx = make_context(int_alg, policy)
+
+        def answers(text, store=()):
+            sigma = pair([F(t, int_alg) for t in store], theta)
+            return [str(s) for s in evaluate(F(text, int_alg), sigma, ctx)]
+
+        assert answers("x < 3 & y = 5") == []  # x < 3 in the closed prefix
+        assert answers("x < 9 & y = 5") == ["<{} | {x/6, y/5}>"]
+        assert answers("y = 5", ["x < 3"]) == []  # no closed record: x < 3 is an entry
+
     def test_inconsistent_admitted_store_fails_without_classify(self, int_alg):
         # 1 < 0 is ground and false; the binding of y after it leaves it so
         sigma = pair([F("y = 1", int_alg), F("1 < 0", int_alg), F("z = y", int_alg)], EMPTY_SUBST)
@@ -437,8 +451,10 @@ def _count_resolves(monkeypatch):
     return count
 
 
-def _atoms_chain_resolves(count, J, n):
-    links = [f"x{i} < x{i + 1}" for i in range(n)] + [f"x{i} = {i}" for i in range(n + 1)]
+def _atoms_chain_resolves(count, J, n, order=None):
+    """Resolves over n links x_i < x_{i+1}, then the groundings x_i = i in order (default 0..n)."""
+    order = range(n + 1) if order is None else order
+    links = [f"x{i} < x{i + 1}" for i in range(n)] + [f"x{i} = {i}" for i in order]
     phi = parse_formula(" & ".join(links), J.signature)
     count[0] = 0
     answers = evaluate(phi, pair((), EMPTY_SUBST), make_context(J, ATOMS))
@@ -454,6 +470,21 @@ def test_atoms_chain_resolves_grow_linearly(monkeypatch, int_alg):
     small = _atoms_chain_resolves(count, int_alg, 100)
     large = _atoms_chain_resolves(count, int_alg, 200)
     assert large <= 2.5 * small, (small, large)
+
+
+def test_wake_up_counts_are_pinned(monkeypatch, int_alg):
+    """A bind wakes the constraints on the names it changes and no others: a rule
+    that woke those on every name the new substitution binds resolves the
+    chain grounded even names first 5,351 times."""
+    count = _count_resolves(monkeypatch)
+    assert _atoms_chain_resolves(count, int_alg, 100) == 401
+    evens_first = [*range(0, 101, 2), *range(1, 101, 2)]
+    assert _atoms_chain_resolves(count, int_alg, 100, evens_first) == 401
+    # each bind leaves the empty store, so no bind wakes anything
+    phi = parse_formula(" & ".join(f"(x{i} = 3 | x{i} = 4)" for i in range(10)), int_alg.signature)
+    count[0] = 0
+    assert len(evaluate(phi, pair((), EMPTY_SUBST), make_context(int_alg, ATOMS))) == 1024
+    assert count[0] == 2046
 
 
 class TestUnifyPolicy:
