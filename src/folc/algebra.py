@@ -42,10 +42,7 @@ class Algebra:
         self.signature = signature
         self.functions = functions
         self.relations = relations
-
-    @property
-    def numeric(self):
-        return self.signature.numeric
+        self.numeric = signature.numeric
 
     def __repr__(self):
         return f"Algebra({self.name})"

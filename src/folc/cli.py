@@ -10,13 +10,15 @@ usage or parse errors.  check exits 0 iff the report has no violations, and
 Both exit 4 on a resource limit: a formula nested too deeply for the
 recursive walks of the evaluator (one Python frame per level) or the
 oracle, or for the hash and == of formula nodes.  The parser and the
-printer read and print any depth.
+printer read and print any depth.  A closed stdout cuts the listing short
+and leaves the exit code as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -124,7 +126,7 @@ def _parse_bound(text: str) -> IntervalBound:
     return IntervalBound(lo, hi)
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[int, str]:
     J = _make_algebra(args)
     policy = get_policy(args.policy)
     sigma = _initial_state(args, J)
@@ -135,18 +137,15 @@ def _cmd_eval(args) -> int:
     ctx = make_context(J, policy, trace=trace)
     answers = evaluate(phi, sigma, ctx)
     if args.json:
-        print(json.dumps([state_to_json(s) for s in answers]))
+        text = json.dumps([state_to_json(s) for s in answers]) + "\n"
     else:
-        for s in answers:
-            print(s)
+        text = "".join(f"{s}\n" for s in answers)
     if not answers:
-        return 2
-    if any(s is ERROR for s in answers):
-        return 1
-    return 0
+        return 2, text
+    return (1 if any(s is ERROR for s in answers) else 0), text
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[int, str]:
     if args.n < 1:
         raise _UsageError("--n must be at least 1")
     if args.depth < 0:
@@ -163,8 +162,7 @@ def _cmd_check(args) -> int:
     else:
         raise _UsageError("check needs a formula or --corpus random")
     report = check_soundness(corpus, policy, J, bound)
-    print(report.to_json())
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), report.to_json() + "\n"
 
 
 def _merge_bound_flag(argv):
@@ -184,21 +182,29 @@ def _merge_bound_flag(argv):
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # CPython 3.10.7 on; earlier ones have no limit
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_bound_flag(list(argv))
     try:
         args = parser.parse_args(argv)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        return _cmd_check(args)
+        code, text = (_cmd_eval if args.command == "eval" else _cmd_check)(args)
     except (_UsageError, ParseError, ValueError) as exc:
         print(f"folc: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
         print("folc: formula nests too deeply for the recursive walks", file=sys.stderr)
         return 4
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early, but the output was complete, so its code stands.  Stdout
+        # goes to devnull so that the interpreter's last flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

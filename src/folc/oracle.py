@@ -100,10 +100,8 @@ def subst_formula(f: Formula, theta: JSubst, J: Algebra, _fresh=None) -> Formula
         return with_sides(f, j_eval(apply_subst(f.lhs, theta), J), j_eval(apply_subst(f.rhs, theta), J))
     if isinstance(f, Not):
         return Not(subst_formula(f.body, theta, J, _fresh))
-    if isinstance(f, And):
-        return And(subst_formula(f.lhs, theta, J, _fresh), subst_formula(f.rhs, theta, J, _fresh))
-    if isinstance(f, Or):
-        return Or(subst_formula(f.lhs, theta, J, _fresh), subst_formula(f.rhs, theta, J, _fresh))
+    if isinstance(f, (And, Or)):
+        return type(f)(subst_formula(f.lhs, theta, J, _fresh), subst_formula(f.rhs, theta, J, _fresh))
     if isinstance(f, Exists):
         inner = drop_subst(f.var, theta)
         body_free = free_vars(f.body)

@@ -125,8 +125,7 @@ class Term(_Node):
 
 
 class Var(Term):
-    __slots__ = ("name",)
-    _fields = ("name",)
+    __slots__ = _fields = ("name",)
 
     def __init__(self, name: str):
         self.name = name
@@ -141,8 +140,7 @@ class Var(Term):
 
 
 class App(Term):
-    __slots__ = ("symbol", "args")
-    _fields = ("symbol", "args")
+    __slots__ = _fields = ("symbol", "args")
 
     def __init__(self, symbol: str, args: tuple[Term, ...] = ()):
         self.symbol = symbol
@@ -153,8 +151,7 @@ class App(Term):
 class Val(Term):
     """A leaf holding a domain element of the active algebra."""
 
-    __slots__ = ("value",)
-    _fields = ("value",)
+    __slots__ = _fields = ("value",)
 
     def __init__(self, value: object):
         self.value = value
@@ -184,8 +181,7 @@ class Formula(_Node):
 class Atom(Formula):
     """An order comparison, lhs < rhs or lhs <= rhs."""
 
-    __slots__ = ("rel", "lhs", "rhs")
-    _fields = ("rel", "lhs", "rhs")
+    __slots__ = _fields = ("rel", "lhs", "rhs")
 
     def __init__(self, rel: str, lhs: Term, rhs: Term):
         self.rel = rel
@@ -195,35 +191,32 @@ class Atom(Formula):
         self._watched = None
 
 
-class Eq(Formula):
-    __slots__ = ("lhs", "rhs")
-    _fields = ("lhs", "rhs")
-    rel = "="
+def _two_sided(self, lhs, rhs):
+    """The constructor of the four two-operand nodes: Eq, Neq, And and Or."""
+    self.lhs = lhs
+    self.rhs = rhs
+    self._hash = hash((lhs, rhs))
+    self._watched = None
 
-    def __init__(self, lhs: Term, rhs: Term):
-        self.lhs = lhs
-        self.rhs = rhs
-        self._hash = hash((lhs, rhs))
-        self._watched = None
+
+# The four share no base class below Formula: a longer MRO slows each failed
+# isinstance(x, ATOMIC_TYPES) on an & or |, which the walks make at every node.
+class Eq(Formula):
+    __slots__ = _fields = ("lhs", "rhs")
+    rel = "="
+    __init__ = _two_sided
 
 
 class Neq(Formula):
     """The disequation spelling s /= t; distinct node from Not(Eq(s, t))."""
 
-    __slots__ = ("lhs", "rhs")
-    _fields = ("lhs", "rhs")
+    __slots__ = _fields = ("lhs", "rhs")
     rel = "/="
-
-    def __init__(self, lhs: Term, rhs: Term):
-        self.lhs = lhs
-        self.rhs = rhs
-        self._hash = hash((lhs, rhs))
-        self._watched = None
+    __init__ = _two_sided
 
 
 class Not(Formula):
-    __slots__ = ("body",)
-    _fields = ("body",)
+    __slots__ = _fields = ("body",)
 
     def __init__(self, body: Formula):
         self.body = body
@@ -232,30 +225,17 @@ class Not(Formula):
 
 
 class And(Formula):
-    __slots__ = ("lhs", "rhs")
-    _fields = ("lhs", "rhs")
-
-    def __init__(self, lhs: Formula, rhs: Formula):
-        self.lhs = lhs
-        self.rhs = rhs
-        self._hash = hash((lhs, rhs))
-        self._watched = None
+    __slots__ = _fields = ("lhs", "rhs")
+    __init__ = _two_sided
 
 
 class Or(Formula):
-    __slots__ = ("lhs", "rhs")
-    _fields = ("lhs", "rhs")
-
-    def __init__(self, lhs: Formula, rhs: Formula):
-        self.lhs = lhs
-        self.rhs = rhs
-        self._hash = hash((lhs, rhs))
-        self._watched = None
+    __slots__ = _fields = ("lhs", "rhs")
+    __init__ = _two_sided
 
 
 class Exists(Formula):
-    __slots__ = ("var", "body")
-    _fields = ("var", "body")
+    __slots__ = _fields = ("var", "body")
 
     def __init__(self, var: str, body: Formula):
         self.var = var
@@ -643,16 +623,14 @@ def parse_substitution_pairs(text: str, signature: Signature, allow_fresh: bool 
 # Printer
 
 
-def term_to_str(t: Term) -> str:
+def term_to_str(x: Term | Formula) -> str:
+    """The printed text of term or formula x; formula_to_str is the same function."""
     out: list[str] = []
-    write_to(out, t)
+    write_to(out, x)
     return "".join(out)
 
 
-def formula_to_str(f: Formula) -> str:
-    out: list[str] = []
-    write_to(out, f)
-    return "".join(out)
+formula_to_str = term_to_str
 
 
 _ADDITIVE = ("+", "-")
@@ -854,10 +832,8 @@ def _rename_unchecked(f: Formula, theta: dict) -> Formula:
         return with_sides(f, apply_subst(f.lhs, theta), apply_subst(f.rhs, theta))
     if isinstance(f, Not):
         return Not(_rename_unchecked(f.body, theta))
-    if isinstance(f, And):
-        return And(_rename_unchecked(f.lhs, theta), _rename_unchecked(f.rhs, theta))
-    if isinstance(f, Or):
-        return Or(_rename_unchecked(f.lhs, theta), _rename_unchecked(f.rhs, theta))
+    if isinstance(f, (And, Or)):
+        return type(f)(_rename_unchecked(f.lhs, theta), _rename_unchecked(f.rhs, theta))
     if isinstance(f, Exists):
         if f.var in theta:
             return f

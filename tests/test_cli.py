@@ -1,16 +1,30 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import folc
 from folc.algebra import herbrand_algebra, int_algebra
 from folc.cli import main, state_from_json, state_to_json
 from folc.infer import POLICIES
 from folc.state import ERROR
+
+
+@pytest.fixture(autouse=True)
+def _restore_the_digit_limit():
+    # main lifts CPython's digit limit for int-to-str conversion for the whole process
+    get = getattr(sys, "get_int_max_str_digits", None)
+    limit = get() if get else None
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestEvalCommand:
@@ -128,6 +142,50 @@ class TestEvalCommand:
             # stdout and the exit code are the same without --trace
             assert main(["eval"] + argv) == code
             assert capsys.readouterr() == (out, "")
+
+
+class TestOutput:
+    CHAIN = " & ".join(f"(x{i} = 0 | x{i} = 1)" for i in range(12))  # 4,096 answers, about 0.4 MB
+
+    @staticmethod
+    def first_line_then_close(*argv, unbuffered=False):
+        """Run folc in a child process, read one line of its stdout, close the pipe, and wait.
+
+        Buffered, the child's write raises BrokenPipeError.  Unbuffered, one
+        write to a closed pipe returns a short count, which the text layer
+        of sys.stdout ignores, so nothing raises.
+        """
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(folc.__file__)))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        cmd = [sys.executable, "-m", "folc.cli", "eval", *argv]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            line = proc.stdout.readline().decode()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            return line, proc.wait(), err
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_closed_stdout_exits_quietly(self, unbuffered):
+        line, code, err = self.first_line_then_close("--policy", "atoms", self.CHAIN, unbuffered=unbuffered)
+        assert line == "<{} | {" + ", ".join(f"x{i}/0" for i in sorted(range(12), key=str)) + "}>\n"
+        assert (code, err) == (0, "")
+
+    def test_a_closed_stdout_keeps_the_exit_code_of_the_answer_set(self):
+        # 4,097 answers, the first of them error: exit 1 as with stdout open
+        line, code, err = self.first_line_then_close("--policy", "baseline", self.CHAIN + " & (y < 1 | y = 0)")
+        assert (line, code, err) == ("error\n", 1, "")
+
+    def test_integers_of_any_length_print(self, capsys):
+        a = "9" * 3000
+        assert main(["eval", "--policy", "atoms", f"x = {a} * {a}"]) == 0
+        assert capsys.readouterr().out == f"<{{}} | {{x/{int(a) ** 2}}}>\n"
+
+    def test_a_long_literal_round_trips(self, capsys):
+        literal = "7" * 5000
+        assert main(["eval", "--policy", "atoms", f"x = {literal}"]) == 0
+        assert capsys.readouterr().out == f"<{{}} | {{x/{literal}}}>\n"
 
 
 def _infer(policy, state, *output):

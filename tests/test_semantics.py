@@ -186,6 +186,14 @@ class TestAlgebraicProperties:
             assert first == second
 
 
+    @pytest.mark.parametrize("policy", ["atoms", "literals", "baseline", "unify"])
+    def test_a_repeated_answer_keeps_its_first_place(self, int_alg, herb, policy):
+        # dedup keeps the first of equal states, so x/1 prints before x/2
+        J, one, two = (herb, "a", "b") if policy == "unify" else (int_alg, "1", "2")
+        out = run(f"(x = {one} | x = {two}) | x = {one}", J, policy=policy)
+        assert [str(s) for s in out] == [f"<{{}} | {{x/{one}}}>", f"<{{}} | {{x/{two}}}>"]
+
+
 class TestFreshNames:
     def test_counter_primed_past_existing_names(self, int_alg):
         # a store already carrying $u1 must not be reused for the next fresh name
