@@ -11,7 +11,8 @@ Both exit 4 on a resource limit: a formula nested too deeply for the
 recursive walks of the evaluator (one Python frame per level) or the
 oracle, or for the hash and == of formula nodes.  The parser and the
 printer read and print any depth.  A closed stdout cuts the listing short
-and leaves the exit code as it is.
+and leaves the exit code as it is; a closed stderr under --trace stops the
+trace and leaves the listing and the exit code as they are.
 """
 
 from __future__ import annotations
@@ -126,15 +127,25 @@ def _parse_bound(text: str) -> IntervalBound:
     return IntervalBound(lo, hi)
 
 
+def _trace_to_stderr(event) -> None:
+    """Print one trace event to stderr as a JSON line.
+
+    A closed stderr stops the trace, not the evaluation: stderr then goes to
+    devnull, as stdout does in main, so later events and the interpreter's
+    last flush write nowhere instead of raising again.
+    """
+    try:
+        print(json.dumps(event), file=sys.stderr)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def _cmd_eval(args) -> tuple[int, str]:
     J = _make_algebra(args)
     policy = get_policy(args.policy)
     sigma = _initial_state(args, J)
     phi = parse_formula(args.formula, J.signature)
-    trace = None
-    if args.trace:
-        trace = lambda event: print(json.dumps(event), file=sys.stderr)
-    ctx = make_context(J, policy, trace=trace)
+    ctx = make_context(J, policy, trace=_trace_to_stderr if args.trace else None)
     answers = evaluate(phi, sigma, ctx)
     if args.json:
         text = json.dumps([state_to_json(s) for s in answers]) + "\n"

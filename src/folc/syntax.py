@@ -5,7 +5,7 @@ Grammar, loosest to tightest binding:
     formula := disj
     disj    := conj ('|' conj)*
     conj    := unary ('&' unary)*
-    unary   := '~' unary | 'exists' IDENT '.' unary | atom
+    unary   := '~' unary | 'exists' IDENT '.' unary | '(' formula ')' | atom
     atom    := 'false' | term ('=' | '/=' | '<' | '<=') term
     term    := mult (('+' | '-') mult)*          (arithmetic signatures only)
     mult    := primary ('*' primary)*
@@ -18,18 +18,18 @@ signatures.  Names starting with `$` are reserved for machine-generated
 fresh variables and rejected in user input (internal re-parsing passes
 allow_fresh=True).
 
-A `(` where a formula may start is read in one look.  Over Herbrand it
-always opens a parenthesised formula.  In a numeric signature it opens a
-term iff its group, up to the matching `)` (or to the end of the input if
-there is none), holds no `=`, `/=`, `<`, `<=`, `&`, `|`, `~`, `false` or
-`exists` token.  So "(x + y) * z = 1" starts with a term and
-"(x = 1 | y = 2) & z = 3" with a formula.
+A `(` where a formula may start (at the start, or after `&`, `|`, `~` or
+a binder) holds a formula, except that in a numeric signature it holds a
+term when a term reaches its `)`.  So "(x + y) * z = 1" starts with a term
+and "(x = 1 | y = 2) & z = 3" with a formula.  In a numeric signature a
+`(` where only a term may stand holds a term.  Over Herbrand a `(` never
+holds a term.
 
 The scanner splits the text into tokens in one regular-expression pass.
-The parser reads formulas and terms by precedence climbing over explicit
-stacks (Pratt, "Top Down Operator Precedence", POPL 1973), and the printer
-walks an explicit stack too, so both read and print any nesting depth at
-the default recursion limit.
+The parser reads formulas and terms in one precedence-climbing loop over
+explicit stacks (Pratt, "Top Down Operator Precedence", POPL 1973), and
+the printer walks an explicit stack too, so both read and print any
+nesting depth at the default recursion limit.
 """
 
 from __future__ import annotations
@@ -330,9 +330,9 @@ _TOKEN_SPLIT = re.compile(r"(\d+|\$?[a-z][a-z0-9_]*|<=|/=|[()=<>~&|.,+\-*/{};])"
 _KEYWORDS = ("exists", "false")
 _IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyz$")  # the first characters of identifiers
 _TERM_PREC = {"+": 1, "-": 1, "*": 2}
-# The tokens whose group opens a formula.
-_FORMULA_TOKENS = frozenset(("=", "/=", "<", "<=", "&", "|", "~", "false", "exists"))
+_RELATIONS = frozenset(("=", "/=", "<", "<="))
 _FORMULA_STOPS = frozenset(("(", "&", "|"))
+_TERM_GROUP = "(term"  # the stack entry of a "(" opened where only a term may stand
 
 
 def _scan(text: str) -> list[str]:
@@ -359,9 +359,7 @@ class _Parser:
     """One parse of one text.
 
     Positions index the token list; the character offset of a token is
-    computed only for an error message.  Formulas and terms are each read by
-    one loop over an explicit stack (precedence climbing, after Pratt's top
-    down operator precedence), so nesting depth costs no Python recursion.
+    computed only for an error message.
     """
 
     def __init__(self, text: str, signature: Signature, allow_fresh: bool = False):
@@ -371,7 +369,6 @@ class _Parser:
         self.relations = signature.relations
         self.numeric = signature.numeric
         self.allow_fresh = allow_fresh
-        self.groups = None  # formula-opening "(" indices, computed on first need
 
     def fail(self, message: str, i: int):
         """Raise a ParseError at the character offset of token i."""
@@ -388,170 +385,139 @@ class _Parser:
         if t:
             self.fail(f"unexpected {t!r} after {what}", i)
 
-    # formulas ------------------------------------------------------------
+    def expr(self, i: int, formula: bool) -> tuple[Term | Formula, int]:
+        """The formula, or the term if not formula, at token i, and the index of the token after it.
 
-    def formula(self, i: int) -> tuple[Formula, int]:
-        """The formula starting at token i, and the index of the token after it."""
-        toks = self.toks
-        ops = []  # "(", "&" or "|" waiting for its right operand, "~", or an exists binder's variable
-        lefts = []  # the left operands of the "&" and "|" in ops
-        while True:
-            t = toks[i]
-            if t == "~":
-                ops.append("~")
-                i += 1
-                continue
-            if t == "exists":
-                ops.append(self.var_name(i + 1))
-                self.expect(".", i + 2)
-                i += 3
-                continue
-            if t == "(" and self.opens_formula(i):
-                ops.append("(")
-                i += 1
-                continue
-            f, i = self.atom(i)
-            while True:
-                while ops:  # the prefixes bind tighter than & and |
-                    op = ops[-1]
-                    if op == "~":
-                        f = Not(f)
-                    elif op in _FORMULA_STOPS:
-                        break
-                    else:
-                        f = Exists(op, f)
-                    ops.pop()
-                t = toks[i]
-                # Left to right, & before |: an "&" closes a pending "&", anything else both.
-                while ops and ops[-1] != "(" and (t != "&" or ops[-1] == "&"):
-                    f = And(lefts.pop(), f) if ops.pop() == "&" else Or(lefts.pop(), f)
-                if t == "&" or t == "|":
-                    lefts.append(f)
-                    ops.append(t)
-                    i += 1
-                    break
-                if not ops:
-                    return f, i
-                self.expect(")", i)
-                ops.pop()
-                i += 1
-
-    def opens_formula(self, i: int) -> bool:
-        """Whether the "(" at token i opens a formula rather than a term.
-
-        Over Herbrand a "(" in formula position always opens a formula.  In a
-        numeric signature the group opens a term iff it holds no relation,
-        connective, `false` or `exists` token.
+        One loop over one explicit operator stack reads the whole grammar.
+        Each pass reads one operand, a term or a formula, then reduces the
+        operators that bind tighter than the token after it.  `here` says
+        whether a formula may start at the next operand: at the start, or
+        after `&`, `|`, `~`, a binder or a "(" opened at such a place.
         """
-        if self.numeric is None:
-            return True
-        if self.groups is None:
-            self.groups = self.formula_groups()
-        return i in self.groups
-
-    def formula_groups(self) -> set[int]:
-        """The indices of the "(" whose groups hold a relation, connective, `false` or `exists`: one pass."""
-        marked = set()
-        open_ = []  # indices of the unclosed "(" so far
-        for j, t in enumerate(self.toks):
-            if t == "(":
-                open_.append(j)
-            elif t == ")":
-                if open_ and open_.pop() in marked and open_:
-                    marked.add(open_[-1])
-            elif open_ and t in _FORMULA_TOKENS:
-                marked.add(open_[-1])
-        for k in range(len(open_) - 1, 0, -1):  # groups left open run to the end of input
-            if open_[k] in marked:
-                marked.add(open_[k - 1])
-        return marked
-
-    def atom(self, i: int) -> tuple[Formula, int]:
-        toks = self.toks
-        t = toks[i]
-        if t == "false":
-            return BOTTOM, i + 1
-        lhs, i = self.term(i)
-        t = toks[i]
-        if t == "<" or t == "<=":
-            if t not in self.relations:
-                self.fail(f"relation {t!r} is not available in this algebra", i)
-        elif t != "=" and t != "/=":
-            self.fail(f"expected a relation, found {t or 'end of input'!r}", i)
-        rhs, j = self.term(i + 1)
-        if t == "=":
-            return Eq(lhs, rhs), j
-        return (Neq(lhs, rhs) if t == "/=" else Atom(t, lhs, rhs)), j
-
-    # terms ---------------------------------------------------------------
-
-    def term(self, i: int) -> tuple[Term, int]:
-        """The term starting at token i, and the index of the token after it."""
         toks = self.toks
         functions = self.functions
         numeric = self.numeric is not None
-        stack = []  # "+", "-" or "*" waiting for its right operand, "(", or an open application
-        vals = []  # the left operands of the operators, and the finished arguments of the applications
+        # pending operators: "+", "-", "*", a relation, "&" or "|" waiting for its right operand,
+        # "~", an exists binder's variable, an open application (a tuple), "(" or _TERM_GROUP
+        ops = []
+        vals = []  # the left operands of the binary operators, and the finished arguments of the applications
+        here = formula
         while True:
             t = toks[i]
             if t[:1] in _IDENT_START:
                 if t in _KEYWORDS:
-                    self.fail(f"{t!r} is a keyword", i)
-                arity = functions.get(t)
-                if arity is None:
-                    if toks[i + 1] == "(":
-                        self.fail(f"unknown function symbol {t!r}", i)
-                    if t[0] == FRESH_PREFIX and not self.allow_fresh:
-                        self.fail(f"variable names may not start with {FRESH_PREFIX!r}", i)
-                    cur = Var(t)
-                elif arity == 0:
-                    cur = App(t, ())
+                    if not here:
+                        self.fail(f"{t!r} is a keyword", i)
+                    if t == "exists":
+                        ops.append(self.var_name(i + 1))
+                        self.expect(".", i + 2)
+                        i += 3
+                        continue
+                    cur = BOTTOM
                 else:
-                    self.expect("(", i + 1)
-                    stack.append((t, i, len(vals)))  # symbol, its token, its first argument in vals
-                    i += 2
-                    continue
+                    arity = functions.get(t)
+                    if arity is None:
+                        if toks[i + 1] == "(":
+                            self.fail(f"unknown function symbol {t!r}", i)
+                        if t[0] == FRESH_PREFIX and not self.allow_fresh:
+                            self.fail(f"variable names may not start with {FRESH_PREFIX!r}", i)
+                        cur = Var(t)
+                    elif arity == 0:
+                        cur = App(t, ())
+                    else:
+                        self.expect("(", i + 1)
+                        ops.append((t, i, len(vals)))  # symbol, its token, its first argument in vals
+                        here = False
+                        i += 2
+                        continue
                 i += 1
             elif t.isdecimal():
                 cur, i = self.number(i, False)
             elif t == "-" and toks[i + 1].isdecimal():
                 cur, i = self.number(i + 1, True)
-            elif t == "(" and numeric:
-                stack.append("(")
+            elif t == "(" and (here or numeric):
+                ops.append("(" if here else _TERM_GROUP)
+                i += 1
+                continue
+            elif t == "~" and here:
+                ops.append("~")
                 i += 1
                 continue
             else:
                 self.fail(f"expected a term, found {t or 'end of input'!r}", i)
+            term = cur is not BOTTOM
             while True:
                 t = toks[i]
-                if numeric and t in _TERM_PREC:
-                    prec = _TERM_PREC[t]
-                    while stack and _TERM_PREC.get(stack[-1], 0) >= prec:
-                        cur = App(stack.pop(), (vals.pop(), cur))
-                    vals.append(cur)
-                    stack.append(t)
-                    i += 1
-                    break
-                while stack and stack[-1] in _TERM_PREC:
-                    cur = App(stack.pop(), (vals.pop(), cur))
-                if not stack:
-                    return cur, i
-                if stack[-1] == "(":
-                    self.expect(")", i)
-                    stack.pop()
+                if term:
+                    if numeric and t in _TERM_PREC:
+                        prec = _TERM_PREC[t]
+                        while ops and _TERM_PREC.get(ops[-1], 0) >= prec:
+                            cur = App(ops.pop(), (vals.pop(), cur))
+                        vals.append(cur)
+                        ops.append(t)
+                        here = False
+                        i += 1
+                        break
+                    while ops and ops[-1] in _TERM_PREC:
+                        cur = App(ops.pop(), (vals.pop(), cur))
+                    top = ops[-1] if ops else None
+                    if top in _RELATIONS:
+                        ops.pop()
+                        lhs = vals.pop()
+                        cur = Eq(lhs, cur) if top == "=" else Neq(lhs, cur) if top == "/=" else Atom(top, lhs, cur)
+                        term = False
+                        continue
+                    if top.__class__ is tuple:
+                        vals.append(cur)
+                        if t == ",":
+                            i += 1
+                            break
+                        self.expect(")", i)
+                        name, at, first = ops.pop()
+                        args = tuple(vals[first:])
+                        del vals[first:]
+                        if len(args) != functions[name]:
+                            self.fail(f"{name} expects {functions[name]} arguments, got {len(args)}", at)
+                        cur = App(name, args)
+                    elif top is _TERM_GROUP or t == ")" and top == "(" and numeric:  # the group held a term
+                        self.expect(")", i)
+                        ops.pop()
+                    elif top is None and not formula:
+                        return cur, i
+                    elif t in _RELATIONS:
+                        if t not in self.relations and t != "=" and t != "/=":
+                            self.fail(f"relation {t!r} is not available in this algebra", i)
+                        vals.append(cur)
+                        ops.append(t)
+                        here = False
+                        i += 1
+                        break
+                    else:
+                        self.fail(f"expected a relation, found {t or 'end of input'!r}", i)
                     i += 1
                     continue
-                vals.append(cur)
-                if t == ",":
+                while ops:  # the prefixes bind tighter than & and |
+                    op = ops[-1]
+                    if op == "~":
+                        cur = Not(cur)
+                    elif op in _FORMULA_STOPS:
+                        break
+                    else:
+                        cur = Exists(op, cur)
+                    ops.pop()
+                # Left to right, & before |: an "&" closes a pending "&", anything else both.
+                while ops and ops[-1] != "(" and (t != "&" or ops[-1] == "&"):
+                    cur = And(vals.pop(), cur) if ops.pop() == "&" else Or(vals.pop(), cur)
+                if t == "&" or t == "|":
+                    vals.append(cur)
+                    ops.append(t)
+                    here = True
                     i += 1
                     break
-                self.expect(")", i)
-                name, at, first = stack.pop()
-                args = tuple(vals[first:])
-                del vals[first:]
-                if len(args) != functions[name]:
-                    self.fail(f"{name} expects {functions[name]} arguments, got {len(args)}", at)
-                cur = App(name, args)
+                if not ops:
+                    return cur, i
+                self.expect(")", i)  # the group held a formula
+                ops.pop()
                 i += 1
 
     def number(self, i: int, negative: bool) -> tuple[Term, int]:
@@ -590,7 +556,7 @@ class _Parser:
             while True:
                 name = self.var_name(i)
                 self.expect("/", i + 1)
-                t, i = self.term(i + 2)
+                t, i = self.expr(i + 2, False)
                 pairs.append((name, t))
                 if self.toks[i] != ",":
                     break
@@ -602,14 +568,14 @@ class _Parser:
 
 def parse_formula(text: str, signature: Signature, allow_fresh: bool = False) -> Formula:
     p = _Parser(text, signature, allow_fresh)
-    f, i = p.formula(0)
+    f, i = p.expr(0, True)
     p.end(i, "formula")
     return f
 
 
 def parse_term(text: str, signature: Signature, allow_fresh: bool = False) -> Term:
     p = _Parser(text, signature, allow_fresh)
-    t, i = p.term(0)
+    t, i = p.expr(0, False)
     p.end(i, "term")
     return t
 

@@ -146,6 +146,7 @@ class TestEvalCommand:
 
 class TestOutput:
     CHAIN = " & ".join(f"(x{i} = 0 | x{i} = 1)" for i in range(12))  # 4,096 answers, about 0.4 MB
+    SHORT = " & ".join(f"(x{i} = 0 | x{i} = 1)" for i in range(8))  # 256 answers, about 0.26 MB of trace
 
     @staticmethod
     def first_line_then_close(*argv, unbuffered=False):
@@ -176,6 +177,22 @@ class TestOutput:
         # 4,097 answers, the first of them error: exit 1 as with stdout open
         line, code, err = self.first_line_then_close("--policy", "baseline", self.CHAIN + " & (y < 1 | y = 0)")
         assert (line, code, err) == ("error\n", 1, "")
+
+    @pytest.mark.parametrize(
+        "policy, formula, code, answers",
+        [("atoms", SHORT, 0, 256), ("baseline", SHORT + " & (y < 1 | y = 0)", 1, 257)],
+        ids=["answers", "error"],
+    )
+    def test_a_closed_stderr_under_trace_stops_the_trace_only(self, tmp_path, policy, formula, code, answers):
+        # one trace line is read and stderr closed: stdout still gets every answer, with the answer set's code
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(folc.__file__)))
+        cmd = [sys.executable, "-m", "folc.cli", "eval", "--trace", "--policy", policy, formula]
+        with open(tmp_path / "out", "wb") as out:
+            with subprocess.Popen(cmd, stdout=out, stderr=subprocess.PIPE, env=env) as proc:
+                assert json.loads(proc.stderr.readline())["event"] in ("clause", "infer")
+                proc.stderr.close()
+                assert proc.wait() == code
+        assert len((tmp_path / "out").read_text().splitlines()) == answers
 
     def test_integers_of_any_length_print(self, capsys):
         a = "9" * 3000

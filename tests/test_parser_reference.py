@@ -1,11 +1,14 @@
 """The parser and printer against the recursive ones they replaced.
 
 tests/reference_parser.py holds the previous implementation unchanged.  On
-corpus text and on fuzzed token soup both parsers must build equal trees or
-both raise ParseError; the messages may differ on a malformed parenthesised
-group, which the new parser reads as a term or a formula from its contents
-alone.  Both printers must print the same text.
+corpus text, on fuzzed token soup and on corpus text with parentheses
+inserted, both parsers must build equal trees or both raise ParseError; the
+messages may differ on a malformed parenthesised group, which the new parser
+reads as a term or a formula from what reaches its `)`.  Both printers must
+print the same text.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +68,32 @@ def test_token_soup_parses_alike(algebra, text, allow_fresh, int_alg, rat_alg, h
     for name in _PARSERS:
         ours = _outcome(syntax, name, text, signature, allow_fresh)
         assert ours == _outcome(reference, name, text, signature, allow_fresh), (name, text)
+
+
+def _near_valid(rng, text):
+    """text with one or two "(" and zero to two ")" inserted, each pair around a random token span."""
+    toks = [tok.text for tok in reference._tokenize(text)[:-1]]
+    opens, closes = rng.randint(1, 2), rng.randint(0, 2)
+    for k in range(max(opens, closes)):
+        start = rng.randint(0, len(toks))
+        stop = rng.randint(start, len(toks))
+        if k < closes:
+            toks.insert(stop, ")")
+        if k < opens:
+            toks.insert(start, "(")
+    return " ".join(toks)
+
+
+@pytest.mark.parametrize("policy", ["atoms", "linear", "unify"], ids=["int", "rat", "herbrand"])
+def test_near_valid_texts_parse_alike(policy):
+    """Printed corpus formulas with parentheses inserted: where a group holds a term or a formula."""
+    J = POLICY_ALGEBRAS[policy][0]
+    rng = random.Random(7)
+    texts = [str(phi) for phi, _ in soundness_corpus(7, J, policy, 100)]
+    for _ in range(1000):
+        text = _near_valid(rng, rng.choice(texts))
+        ours = _outcome(syntax, "parse_formula", text, J.signature, False)
+        assert ours == _outcome(reference, "parse_formula", text, J.signature, False), text
 
 
 def _message(module, text, signature):

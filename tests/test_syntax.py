@@ -140,6 +140,12 @@ _ERROR_SITES = [
     ("formula", "int", "exists $u1. x = 1", "variable names may not start with '$' (at position 7)"),
     ("subst", "int", "{x/1} y", "unexpected 'y' after substitution (at position 6)"),
     ("term", "int", "x y", "unexpected 'y' after term (at position 2)"),
+    # Over Herbrand a "(" never holds a term: where a formula may start it holds a formula, elsewhere it is refused.
+    ("formula", "herbrand", "(a) = b", "expected a relation, found ')' (at position 2)"),
+    ("formula", "herbrand", "((x)) = a", "expected a relation, found ')' (at position 3)"),
+    ("formula", "herbrand", "x = f((a))", "expected a term, found '(' (at position 6)"),
+    ("formula", "herbrand", "x = f(false)", "'false' is a keyword (at position 6)"),
+    ("formula", "herbrand", "f(~ x = a) = b", "expected a term, found '~' (at position 2)"),
 ]
 
 
