@@ -11,8 +11,8 @@ Both exit 4 on a resource limit: a formula nested too deeply for the
 recursive walks of the evaluator (one Python frame per level) or the
 oracle, or for the hash and == of formula nodes.  The parser and the
 printer read and print any depth.  A closed stdout cuts the listing short
-and leaves the exit code as it is; a closed stderr under --trace stops the
-trace and leaves the listing and the exit code as they are.
+and leaves the exit code as it is; a closed stderr loses the messages and
+the trace, and leaves the listing and the exit code as they are.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .syntax import ParseError, formula_to_str, parse_formula, parse_signature_d
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
+        _to_stderr(self.format_usage().rstrip("\n"))
         raise _UsageError(message)
 
 
@@ -127,15 +127,16 @@ def _parse_bound(text: str) -> IntervalBound:
     return IntervalBound(lo, hi)
 
 
-def _trace_to_stderr(event) -> None:
-    """Print one trace event to stderr as a JSON line.
+def _to_stderr(line: str) -> None:
+    """Print one line to stderr: the usage, an error message or a trace event.
 
-    A closed stderr stops the trace, not the evaluation: stderr then goes to
-    devnull, as stdout does in main, so later events and the interpreter's
-    last flush write nowhere instead of raising again.
+    A closed stderr loses the line, not the run: stderr then goes to
+    devnull, as stdout does in main, so later lines and the interpreter's
+    last flush write nowhere instead of raising again.  The trace stops,
+    and the evaluation and the exit code stand.
     """
     try:
-        print(json.dumps(event), file=sys.stderr)
+        print(line, file=sys.stderr)
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
@@ -145,7 +146,7 @@ def _cmd_eval(args) -> tuple[int, str]:
     policy = get_policy(args.policy)
     sigma = _initial_state(args, J)
     phi = parse_formula(args.formula, J.signature)
-    ctx = make_context(J, policy, trace=_trace_to_stderr if args.trace else None)
+    ctx = make_context(J, policy, trace=(lambda event: _to_stderr(json.dumps(event))) if args.trace else None)
     answers = evaluate(phi, sigma, ctx)
     if args.json:
         text = json.dumps([state_to_json(s) for s in answers]) + "\n"
@@ -203,10 +204,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         code, text = (_cmd_eval if args.command == "eval" else _cmd_check)(args)
     except (_UsageError, ParseError, ValueError) as exc:
-        print(f"folc: {exc}", file=sys.stderr)
+        _to_stderr(f"folc: {exc}")
         return 3
     except RecursionError:
-        print("folc: formula nests too deeply for the recursive walks", file=sys.stderr)
+        _to_stderr("folc: formula nests too deeply for the recursive walks")
         return 4
     try:
         sys.stdout.write(text)

@@ -29,7 +29,10 @@ The scanner splits the text into tokens in one regular-expression pass.
 The parser reads formulas and terms in one precedence-climbing loop over
 explicit stacks (Pratt, "Top Down Operator Precedence", POPL 1973), and
 the printer walks an explicit stack too, so both read and print any
-nesting depth at the default recursion limit.
+nesting depth at the default recursion limit.  One dict lookup classifies
+a token: a module table holds the tokens that may follow an operand, and
+a signature's token table maps each operand text read under it, up to
+_TABLE_BOUND texts, to its kind or to the one Var, constant or int it is.
 """
 
 from __future__ import annotations
@@ -274,13 +277,15 @@ class Signature:
     numeric is None for Herbrand-style signatures, "int" or "rat" for the
     arithmetic ones: it controls how numeric literals are read, and decides
     the relations besides = and /=, which are < and <= for the arithmetic
-    signatures and none for Herbrand.
+    signatures and none for Herbrand.  The parser keeps its token table
+    here, so the symbols must not change after the first parse.
     """
 
     def __init__(self, functions=(), numeric=None):
         self.functions = dict(functions)
         self.numeric = numeric
         self.relations = frozenset() if numeric is None else frozenset(("<", "<="))
+        self._tokens = {}  # the token table: operand text -> a token kind or its shared leaf
 
     def __repr__(self):
         fns = ",".join(f"{n}/{a}" for n, a in self.functions.items())
@@ -324,15 +329,38 @@ class ParseError(Exception):
 
 # Splitting on the token pattern leaves the tokens at odd indices and the gaps
 # between them at even ones; a gap holding anything but whitespace holds a
-# character no token starts with.
-_TOKEN_SPLIT = re.compile(r"(\d+|\$?[a-z][a-z0-9_]*|<=|/=|[()=<>~&|.,+\-*/{};])")
+# character no token starts with.  No two alternatives start with the same
+# character, so the commonest, the one-character class, may come first.
+_TOKEN_SPLIT = re.compile(r"([()=>~&|.,+\-*{};]|<=?|/=?|\d+|\$?[a-z][a-z0-9_]*)")
 
 _KEYWORDS = ("exists", "false")
 _IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyz$")  # the first characters of identifiers
-_TERM_PREC = {"+": 1, "-": 1, "*": 2}
-_RELATIONS = frozenset(("=", "/=", "<", "<="))
 _FORMULA_STOPS = frozenset(("(", "&", "|"))
 _TERM_GROUP = "(term"  # the stack entry of a "(" opened where only a term may stand
+
+# The kinds of operand token that a signature's token table holds besides shared leaves.
+_KEYWORD, _FUNCTION, _OPEN, _NOT, _MINUS, _NUMBER, _FRESH, _OTHER = range(8)
+_TABLE_BOUND = 4096  # a full token table classifies a new text on every sight and keeps nothing
+
+# The tokens that may follow an operand, by class: a binary operator's binding
+# power, loosest first, or a closing token.  Anything else reads as 0.
+_OR, _AND, _REL, _ADD, _MUL, _CLOSE, _COMMA = 1, 2, 3, 4, 5, -1, -2
+_AFTER = {"|": _OR, "&": _AND, "=": _REL, "/=": _REL, "<": _REL, "<=": _REL,
+          "+": _ADD, "-": _ADD, "*": _MUL, ")": _CLOSE, ",": _COMMA}
+
+
+def _classify(t: str, signature: Signature):
+    """The token table's entry for operand text t: a token kind, or the one leaf t always reads as."""
+    if t[:1] in _IDENT_START:
+        if t in _KEYWORDS:
+            return _KEYWORD
+        arity = signature.functions.get(t)
+        if arity is None:
+            return _FRESH if t[0] == FRESH_PREFIX else Var(t)
+        return App(t, ()) if arity == 0 else _FUNCTION
+    if t.isdecimal():
+        return Val(int(t)) if signature.numeric == "int" else _NUMBER  # a rat literal may go on with "/"
+    return {"(": _OPEN, "~": _NOT, "-": _MINUS}.get(t, _OTHER)
 
 
 def _scan(text: str) -> list[str]:
@@ -340,15 +368,12 @@ def _scan(text: str) -> list[str]:
     parts = _TOKEN_SPLIT.split(text)
     gaps = "".join(parts[::2])
     if gaps and not gaps.isspace():
-        pos = 0
-        for k, part in enumerate(parts):
-            stray = part.lstrip() if k % 2 == 0 else ""
+        for k in range(0, len(parts), 2):
+            stray = parts[k].lstrip()
             if stray:
-                raise ParseError(f"unexpected character {stray[0]!r}", pos + len(part) - len(stray))
-            pos += len(part)
-    tokens = parts[1::2]
-    tokens.append("")
-    return tokens
+                raise ParseError(f"unexpected character {stray[0]!r}", sum(map(len, parts[: k + 1])) - len(stray))
+    parts.append("")  # the end of input, at the odd index after the last token
+    return parts[1::2]
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +390,7 @@ class _Parser:
     def __init__(self, text: str, signature: Signature, allow_fresh: bool = False):
         self.text = text
         self.toks = _scan(text)
-        self.functions = signature.functions
-        self.relations = signature.relations
-        self.numeric = signature.numeric
+        self.signature = signature
         self.allow_fresh = allow_fresh
 
     def fail(self, message: str, i: int):
@@ -395,8 +418,10 @@ class _Parser:
         after `&`, `|`, `~`, a binder or a "(" opened at such a place.
         """
         toks = self.toks
-        functions = self.functions
-        numeric = self.numeric is not None
+        signature = self.signature
+        table = signature._tokens
+        after = _AFTER.get
+        numeric = signature.numeric is not None
         # pending operators: "+", "-", "*", a relation, "&" or "|" waiting for its right operand,
         # "~", an exists binder's variable, an open application (a tuple), "(" or _TERM_GROUP
         ops = []
@@ -404,98 +429,101 @@ class _Parser:
         here = formula
         while True:
             t = toks[i]
-            if t[:1] in _IDENT_START:
-                if t in _KEYWORDS:
-                    if not here:
-                        self.fail(f"{t!r} is a keyword", i)
-                    if t == "exists":
-                        ops.append(self.var_name(i + 1))
-                        self.expect(".", i + 2)
-                        i += 3
-                        continue
-                    cur = BOTTOM
-                else:
-                    arity = functions.get(t)
-                    if arity is None:
-                        if toks[i + 1] == "(":
-                            self.fail(f"unknown function symbol {t!r}", i)
-                        if t[0] == FRESH_PREFIX and not self.allow_fresh:
-                            self.fail(f"variable names may not start with {FRESH_PREFIX!r}", i)
-                        cur = Var(t)
-                    elif arity == 0:
-                        cur = App(t, ())
-                    else:
-                        self.expect("(", i + 1)
-                        ops.append((t, i, len(vals)))  # symbol, its token, its first argument in vals
-                        here = False
-                        i += 2
-                        continue
+            cur = table.get(t)
+            if cur is None:
+                cur = _classify(t, signature)
+                if len(table) < _TABLE_BOUND:
+                    table[t] = cur
+            if cur.__class__ is not int:  # a shared leaf
                 i += 1
-            elif t.isdecimal():
-                cur, i = self.number(i, False)
-            elif t == "-" and toks[i + 1].isdecimal():
-                cur, i = self.number(i + 1, True)
-            elif t == "(" and (here or numeric):
+            elif cur == _FUNCTION:
+                self.expect("(", i + 1)
+                ops.append((t, i, len(vals)))  # symbol, its token, its first argument in vals
+                here = False
+                i += 2
+                continue
+            elif cur == _OPEN and (here or numeric):
                 ops.append("(" if here else _TERM_GROUP)
                 i += 1
                 continue
-            elif t == "~" and here:
+            elif cur == _NOT and here:
                 ops.append("~")
                 i += 1
                 continue
+            elif cur == _KEYWORD:
+                if not here:
+                    self.fail(f"{t!r} is a keyword", i)
+                if t == "exists":
+                    ops.append(self.var_name(i + 1))
+                    self.expect(".", i + 2)
+                    i += 3
+                    continue
+                cur = BOTTOM
+                i += 1
+            elif cur == _NUMBER:
+                cur, i = self.number(i, False)
+            elif cur == _MINUS and toks[i + 1].isdecimal():
+                cur, i = self.number(i + 1, True)
+            elif cur == _FRESH:
+                if not self.allow_fresh and toks[i + 1] != "(":
+                    self.fail(f"variable names may not start with {FRESH_PREFIX!r}", i)
+                cur = Var(t)
+                i += 1
             else:
                 self.fail(f"expected a term, found {t or 'end of input'!r}", i)
+            if toks[i] == "(" and cur.__class__ is Var:
+                self.fail(f"unknown function symbol {t!r}", i - 1)
             term = cur is not BOTTOM
             while True:
                 t = toks[i]
+                kind = after(t, 0)
                 if term:
-                    if numeric and t in _TERM_PREC:
-                        prec = _TERM_PREC[t]
-                        while ops and _TERM_PREC.get(ops[-1], 0) >= prec:
+                    if kind >= _ADD and numeric:
+                        while ops and after(ops[-1], 0) >= kind:
                             cur = App(ops.pop(), (vals.pop(), cur))
                         vals.append(cur)
                         ops.append(t)
                         here = False
                         i += 1
                         break
-                    while ops and ops[-1] in _TERM_PREC:
+                    while ops and after(ops[-1], 0) >= _ADD:
                         cur = App(ops.pop(), (vals.pop(), cur))
                     top = ops[-1] if ops else None
-                    if top in _RELATIONS:
-                        ops.pop()
-                        lhs = vals.pop()
-                        cur = Eq(lhs, cur) if top == "=" else Neq(lhs, cur) if top == "/=" else Atom(top, lhs, cur)
-                        term = False
-                        continue
-                    if top.__class__ is tuple:
-                        vals.append(cur)
-                        if t == ",":
+                    if after(top) != _REL:
+                        if top.__class__ is tuple:
+                            vals.append(cur)
+                            if kind == _COMMA:
+                                i += 1
+                                break
+                            self.expect(")", i)
+                            name, at, first = ops.pop()
+                            args = tuple(vals[first:])
+                            del vals[first:]
+                            arity = signature.functions[name]
+                            if len(args) != arity:
+                                self.fail(f"{name} expects {arity} arguments, got {len(args)}", at)
+                            cur = App(name, args)
+                        elif top is _TERM_GROUP or kind == _CLOSE and top == "(" and numeric:  # the group held a term
+                            self.expect(")", i)
+                            ops.pop()
+                        elif top is None and not formula:
+                            return cur, i
+                        elif kind == _REL:
+                            if t not in signature.relations and t != "=" and t != "/=":
+                                self.fail(f"relation {t!r} is not available in this algebra", i)
+                            vals.append(cur)
+                            ops.append(t)
+                            here = False
                             i += 1
                             break
-                        self.expect(")", i)
-                        name, at, first = ops.pop()
-                        args = tuple(vals[first:])
-                        del vals[first:]
-                        if len(args) != functions[name]:
-                            self.fail(f"{name} expects {functions[name]} arguments, got {len(args)}", at)
-                        cur = App(name, args)
-                    elif top is _TERM_GROUP or t == ")" and top == "(" and numeric:  # the group held a term
-                        self.expect(")", i)
-                        ops.pop()
-                    elif top is None and not formula:
-                        return cur, i
-                    elif t in _RELATIONS:
-                        if t not in self.relations and t != "=" and t != "/=":
-                            self.fail(f"relation {t!r} is not available in this algebra", i)
-                        vals.append(cur)
-                        ops.append(t)
-                        here = False
+                        else:
+                            self.fail(f"expected a relation, found {t or 'end of input'!r}", i)
                         i += 1
-                        break
-                    else:
-                        self.fail(f"expected a relation, found {t or 'end of input'!r}", i)
-                    i += 1
-                    continue
+                        continue
+                    ops.pop()  # the atom is complete, and t goes on to the formula operators
+                    lhs = vals.pop()
+                    cur = Eq(lhs, cur) if top == "=" else Neq(lhs, cur) if top == "/=" else Atom(top, lhs, cur)
+                    term = False
                 while ops:  # the prefixes bind tighter than & and |
                     op = ops[-1]
                     if op == "~":
@@ -506,9 +534,9 @@ class _Parser:
                         cur = Exists(op, cur)
                     ops.pop()
                 # Left to right, & before |: an "&" closes a pending "&", anything else both.
-                while ops and ops[-1] != "(" and (t != "&" or ops[-1] == "&"):
+                while ops and ops[-1] != "(" and (kind != _AND or ops[-1] == "&"):
                     cur = And(vals.pop(), cur) if ops.pop() == "&" else Or(vals.pop(), cur)
-                if t == "&" or t == "|":
+                if kind == _AND or kind == _OR:
                     vals.append(cur)
                     ops.append(t)
                     here = True
@@ -522,10 +550,11 @@ class _Parser:
 
     def number(self, i: int, negative: bool) -> tuple[Term, int]:
         toks = self.toks
-        if self.numeric is None:
+        numeric = self.signature.numeric
+        if numeric is None:
             self.fail("numeric literals require an arithmetic algebra", i)
         num = -int(toks[i]) if negative else int(toks[i])
-        if self.numeric == "rat":
+        if numeric == "rat":
             if toks[i + 1] == "/":
                 den = toks[i + 2]
                 if not den.isdecimal():
@@ -540,7 +569,7 @@ class _Parser:
         t = self.toks[i]
         if t[:1] not in _IDENT_START or t in _KEYWORDS:
             self.fail(f"expected a variable name, found {t!r}", i)
-        if t in self.functions:
+        if t in self.signature.functions:
             self.fail(f"{t!r} is a declared symbol, not a variable", i)
         if t[0] == FRESH_PREFIX and not self.allow_fresh:
             self.fail(f"variable names may not start with {FRESH_PREFIX!r}", i)

@@ -194,6 +194,26 @@ class TestOutput:
                 assert proc.wait() == code
         assert len((tmp_path / "out").read_text().splitlines()) == answers
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["x = "], 3),
+            (["--policy", "nope", "x = 1"], 3),
+            (["--policy", "atoms", " & ".join(f"x{i} = {i}" for i in range(2000))], 4),
+        ],
+        ids=["parse-error", "usage-error", "too-deep"],
+    )
+    def test_a_closed_stderr_keeps_the_error_exit_codes(self, argv, code):
+        # the pipe's read end is closed before the child starts, so its first write to stderr fails
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(folc.__file__)))
+        cmd = [sys.executable, "-m", "folc.cli", "eval", *argv]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            assert subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=write, env=env).returncode == code
+        finally:
+            os.close(write)
+
     def test_integers_of_any_length_print(self, capsys):
         a = "9" * 3000
         assert main(["eval", "--policy", "atoms", f"x = {a} * {a}"]) == 0

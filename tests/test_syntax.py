@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from folc import syntax
-from folc.algebra import EMPTY_SUBST
+from folc.algebra import EMPTY_SUBST, herbrand_algebra, int_algebra
 from folc.state import Pair, Store
 from folc.syntax import (
     And,
@@ -159,6 +159,44 @@ def test_parse_error_messages_are_pinned(kind, algebra, text, message, int_alg, 
             parse = {"formula": parse_formula, "term": parse_term, "subst": parse_substitution_pairs}[kind]
             parse(text, signatures[algebra].signature)
     assert str(err.value) == message
+
+
+class TestTokenTable:
+    """Each signature keeps its own bounded table of operand tokens, and shares only leaves that read alike everywhere."""
+
+    def test_a_fresh_name_is_refused_after_a_parse_that_allowed_it(self):
+        sig = int_algebra().signature
+        assert parse_formula("$u1 = 1", sig, allow_fresh=True) == Eq(Var("$u1"), Val(1))
+        with pytest.raises(ParseError, match=r"variable names may not start with '\$' \(at position 0\)"):
+            parse_formula("$u1 = 1", sig)
+        assert parse_term("$u1", sig, allow_fresh=True) == Var("$u1")
+
+    def test_each_signature_reads_a_name_its_own_way(self):
+        ints = int_algebra().signature
+        herbrand = herbrand_algebra([("f", 1), ("a", 0)]).signature
+        for _ in range(3):
+            assert parse_formula("f = 1", ints) == Eq(Var("f"), Val(1))
+            assert parse_formula("f(a) = x", herbrand) == Eq(App("f", (App("a", ()),)), x)
+            with pytest.raises(ParseError, match="unknown function symbol 'f'"):
+                parse_formula("f(1) = 1", ints)
+            with pytest.raises(ParseError, match="expected '\\(', found '='"):
+                parse_formula("f = a", herbrand)
+
+    def test_the_table_stops_growing_at_its_bound(self):
+        sig = int_algebra().signature
+        n = syntax._TABLE_BOUND // 2 + 100  # each text adds a name and a literal
+        for k in range(n):
+            assert parse_formula(f"v{k} = {k}", sig) == Eq(Var(f"v{k}"), Val(k))
+        assert len(sig._tokens) == syntax._TABLE_BOUND
+        # names past the bound are read afresh on every sight, and alike
+        a, b = parse_formula(f"v{n} = {n}", sig), parse_formula(f"v{n} = {n}", sig)
+        assert a == b == Eq(Var(f"v{n}"), Val(n)) and a.lhs is not b.lhs
+
+    def test_parses_share_their_leaves(self):
+        sig = int_algebra().signature
+        f, g = parse_formula("x = 1", sig), parse_formula("x = 1", sig)
+        assert f is not g and f.lhs is g.lhs and f.rhs is g.rhs
+        assert parse_term("x", sig) is f.lhs
 
 
 class TestFreeVars:
