@@ -86,14 +86,6 @@ def herbrand_algebra(constructors) -> Algebra:
 # Generalized-term evaluation
 
 
-def term_is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, App):
-        return all(term_is_ground(a) for a in t.args)
-    return True
-
-
 def j_eval(t: Term, J: Algebra) -> Term:
     """Replace every maximal ground subterm by its value in J.
 
@@ -102,42 +94,22 @@ def j_eval(t: Term, J: Algebra) -> Term:
     """
     if J.numeric is None or not isinstance(t, App):
         return t
-    return _j_eval_app(t, J, {})
-
-
-def _j_eval_app(t: App, J: Algebra, memo: dict) -> Term:
-    """j_eval on an App of a numeric algebra, memoised on node identity like _apply_app."""
-    out = memo.get(id(t))
-    if out is not None:
-        return out
-    args = []
-    changed = False
-    ground = True
-    for a in t.args:
-        if isinstance(a, App):
-            b = _j_eval_app(a, J, memo)
-            changed = changed or b is not a
-        else:
-            b = a
-        ground = ground and isinstance(b, Val)
-        args.append(b)
-    if ground:
-        out = Val(J.functions[t.symbol](*[b.value for b in args]))
-    else:
-        out = App(t.symbol, tuple(args)) if changed else t
-    memo[id(t)] = out
-    return out
+    return _apply_app(t, {}, {}, J.functions)
 
 
 def eval_ground(t: Term, J: Algebra):
-    """The J-value of a ground term (a number, or the term itself for Herbrand)."""
-    if J.numeric is None:
-        return t
+    """The J-value of t, or None at its first variable; a ground Herbrand term is its own value."""
+    if isinstance(t, App):
+        values = []
+        for a in t.args:
+            v = eval_ground(a, J)
+            if v is None:
+                return None
+            values.append(v)
+        return t if J.numeric is None else J.functions[t.symbol](*values)
     if isinstance(t, Val):
         return t.value
-    if isinstance(t, App):
-        return J.functions[t.symbol](*[eval_ground(a, J) for a in t.args])
-    raise ValueError(f"not ground: {t!r}")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +250,11 @@ def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
     """The unique gamma with x.gamma = j_eval((x.theta).eta) for every x.
 
     A copy of theta's map in which only the non-ground values that mention
-    dom(eta) are rewritten, with one memo per walk across them, plus eta's
-    other bindings.  So the names whose binding changes are exactly those
-    two sets, theta's names whose value mentions dom(eta) (a rewrite to x/x
-    unbinds x) and the names eta binds that theta does not; every other
-    binding keeps its value object.  gamma's caches are theta's, updated by
+    dom(eta) are rewritten, each by one walk that substitutes and j-evaluates
+    (_apply_app, one memo across them), plus eta's other bindings.  So the
+    names whose binding changes are exactly those two sets, theta's names
+    whose value mentions dom(eta) (a rewrite to x/x unbinds x) and the names
+    eta binds that theta does not; every other binding keeps its value object.  gamma's caches are theta's, updated by
     difference; the hash only when theta has computed it.
     """
     old, eta_map = theta._mapping, eta._mapping
@@ -294,7 +266,8 @@ def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
     mapping = dict(old)
     value_vars = dict(theta._value_vars)
     h = theta._hash
-    apply_memo, eval_memo = {}, {}
+    memo = {}
+    functions = None if J.numeric is None else J.functions
     for name, ov in theta._value_vars.items():
         if ov.isdisjoint(eta_map):
             continue
@@ -302,9 +275,7 @@ def compose(theta: JSubst, eta: JSubst, J: Algebra) -> JSubst:
         if isinstance(t, Var):
             v = eta_map[t.name]
         else:
-            v = _apply_app(t, eta_map, apply_memo)
-            if J.numeric is not None:
-                v = _j_eval_app(v, J, eval_memo)
+            v = _apply_app(t, eta_map, memo, functions)
         del value_vars[name]
         if h is not None:
             h -= _mix(hash((name, t)))
@@ -340,10 +311,9 @@ def parse_subst(text: str, J: Algebra) -> JSubst:
 
 def atom_truth(atom, theta: JSubst, J: Algebra):
     """Truth of an atom or (dis)equation under theta: True, False, or None (non-ground)."""
-    lhs, rhs = apply_subst(atom.lhs, theta), apply_subst(atom.rhs, theta)
-    if not (term_is_ground(lhs) and term_is_ground(rhs)):
-        return None
-    return J.relations[atom.rel](eval_ground(lhs, J), eval_ground(rhs, J))
+    lhs = eval_ground(apply_subst(atom.lhs, theta), J)
+    rhs = eval_ground(apply_subst(atom.rhs, theta), J)
+    return None if lhs is None or rhs is None else J.relations[atom.rel](lhs, rhs)
 
 
 def literal_truth(f, theta: JSubst, J: Algebra):

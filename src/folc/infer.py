@@ -37,11 +37,11 @@ from .algebra import (
     apply_subst,
     atom_truth,
     compose,
+    eval_ground,
     j_eval,
     literal_truth,
     make_subst,
     subst_names,
-    term_is_ground,
 )
 from .state import (
     EMPTY_STORE,
@@ -133,9 +133,10 @@ def equation_step(s: Term, t: Term, theta: JSubst, J: Algebra):
         sa, ta = ta, sa
     if isinstance(sa, Var) and sa.name not in term_vars(ta):
         return ("bind", make_subst([(sa.name, ta)], J))
-    if j_eval(sa, J) == j_eval(ta, J):
+    sa, ta = j_eval(sa, J), j_eval(ta, J)
+    if sa == ta:
         return ("drop",)
-    if term_is_ground(sa) and term_is_ground(ta):
+    if eval_ground(sa, J) is not None and eval_ground(ta, J) is not None:
         return ("fail",)
     return _PASSIVE
 
@@ -473,7 +474,7 @@ class DiseqPolicy(UnifyPolicy):
         ta = apply_subst(d.rhs, theta)
         if sa == ta:
             return ("fail",)
-        if term_is_ground(sa) and term_is_ground(ta):
+        if eval_ground(sa, J) is not None and eval_ground(ta, J) is not None:
             return ("drop",)  # ground and distinct: the disequation holds
         return _PASSIVE
 

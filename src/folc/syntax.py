@@ -788,30 +788,40 @@ def apply_subst(t: Term, theta) -> Term:
     return t
 
 
-def _apply_app(t: App, theta, memo: dict) -> Term:
+def _apply_app(t: App, theta, memo: dict, functions=None) -> Term:
     """apply_subst on an App, memoised on node identity.
 
-    A node shared within t, or across the terms of one memo, is rewritten
-    once.  The keys are ids of input nodes, so the caller keeps every input
-    alive while the memo is in use.
+    Given a numeric algebra's function table, it also folds each
+    application whose arguments all come out as Val into the Val of its
+    value: that is j_eval of the substituted term whenever theta's values
+    are j_eval fixpoints, as a JSubst's are.  A node shared within t, or
+    across the terms of one memo, is rewritten once.  The keys are ids of
+    input nodes, so the caller keeps every input alive while the memo is in
+    use.
     """
     out = memo.get(id(t))
     if out is not None:
         return out
     args = []
     changed = False
+    ground = functions is not None
     for a in t.args:
         if isinstance(a, Var):
             b = theta.get(a.name)
             if b is None:
                 b = a
         elif isinstance(a, App):
-            b = _apply_app(a, theta, memo)
+            b = _apply_app(a, theta, memo, functions)
         else:
             b = a
         changed = changed or b is not a
+        ground = ground and isinstance(b, Val)
         args.append(b)
-    out = memo[id(t)] = App(t.symbol, tuple(args)) if changed else t
+    if ground:
+        out = Val(functions[t.symbol](*[b.value for b in args]))
+    else:
+        out = App(t.symbol, tuple(args)) if changed else t
+    memo[id(t)] = out
     return out
 
 

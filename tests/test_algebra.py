@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 from types import FunctionType
@@ -12,6 +13,7 @@ from folc.algebra import (
     apply_subst,
     atom_truth,
     compose,
+    eval_ground,
     herbrand_algebra,
     int_algebra,
     j_eval,
@@ -22,7 +24,7 @@ from folc.algebra import (
 )
 from folc import infer, semantics, state, syntax
 from folc.cli import state_to_json
-from folc.syntax import App, Atom, Eq, Neq, Val, Var, parse_formula, parse_term, term_vars
+from folc.syntax import App, Atom, Eq, Neq, Val, Var, _apply_app, parse_formula, parse_term, term_vars
 from conftest import herb_terms, int_terms, rat_terms
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -247,6 +249,55 @@ class TestComposeAgainstReference:
         got = compose(theta, parse_subst("{y/2}", int_alg), int_alg)
         assert got.get("w") is theta.get("w")
         assert compose(theta, EMPTY_SUBST, int_alg) is theta
+
+
+def _random_term(rng, J, pool, depth):
+    """A term over x, y, z and J's constants; a third of the compound nodes reuse one from pool."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.4:
+            return Var(rng.choice("xyz"))
+        if J.numeric is None:
+            return App(rng.choice("abc"), ())
+        return Val(rng.randint(-3, 3) if J.numeric == "int" else Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    if pool and rng.random() < 0.3:
+        return rng.choice(pool)
+    if J.numeric is None:
+        symbol = rng.choice("fg")
+        args = tuple(_random_term(rng, J, pool, depth - 1) for _ in range(1 if symbol == "f" else 2))
+    else:
+        symbol = rng.choice("+-*")
+        args = (_random_term(rng, J, pool, depth - 1), _random_term(rng, J, pool, depth - 1))
+    t = App(symbol, args)
+    pool.append(t)
+    return t
+
+
+@pytest.mark.parametrize("alg", sorted(_COMPOSE_ALGEBRAS))
+def test_one_walk_substitutes_and_evaluates(alg):
+    """_apply_app with J's functions is j_eval after apply_subst; eval_ground reads a value in one walk.
+
+    Seeded, 2,000 cases per algebra; terms share subterms, so the memo is
+    read as well as filled.
+    """
+    J, _ = _COMPOSE_ALGEBRAS[alg]
+    functions = None if J.numeric is None else J.functions
+    rng = random.Random(29)
+    for _ in range(2000):
+        pool = []
+        t = _random_term(rng, J, pool, 4)
+        names = rng.sample("xyzw", rng.randint(0, 3))
+        theta = make_subst([(n, _random_term(rng, J, pool, 2)) for n in names], J)
+        want = _ref_j_eval(_ref_apply(t, theta), J)
+        got = _apply_app(t, theta, {}, functions) if isinstance(t, App) else j_eval(apply_subst(t, theta), J)
+        assert got == want
+        assert (got is t) == (want == t)
+        plain = apply_subst(t, theta)
+        assert plain == _ref_apply(t, theta)
+        assert (plain is t) == (plain == t)
+        value = eval_ground(plain, J)
+        assert (value is None) == bool(term_vars(plain))
+        if value is not None:
+            assert (Val(value) if J.numeric else value) == want
 
 
 def check_caches(got, bindings):

@@ -910,3 +910,26 @@ class TestStorelessEval:
     def test_exists_drops_binding(self, int_alg):
         out = storeless_eval(F("exists x. x = 1", int_alg), EMPTY_SUBST, int_alg)
         assert out == (EMPTY_SUBST,)
+
+
+_FALSE_TEXTS = (
+    "false",
+    "~false",
+    "x = 1 | false",
+    "x = 1 & false",
+    "false & x = 1",
+    "exists y. false",
+    "~(x = 1 & false)",
+    "~~false",
+)
+
+
+@pytest.mark.parametrize("theta_text", ["{}", "{x/1}", "{x/y + 1}"])
+@pytest.mark.parametrize("text", _FALSE_TEXTS)
+def test_storeless_eval_reads_false_as_the_baseline_does(text, theta_text, int_alg):
+    """The embedding corpus has no false; these cases reach storeless_eval's Bottom clause."""
+    theta = parse_subst(theta_text, int_alg)
+    phi = F(text, int_alg)
+    reference = ["error" if r is ERROR else str(Pair(EMPTY_STORE, r)) for r in storeless_eval(phi, theta, int_alg)]
+    out = evaluate(phi, pair((), theta), make_context(int_alg, BASELINE))
+    assert [str(s) for s in out] == reference

@@ -654,6 +654,23 @@ class TestCheckSoundness:
         d = check_soundness(corpus, Rebinding(), int_alg, B).to_dict()
         assert (d["decided"], d["checks"], len(d["violations"]), d["passed"]) == (1, 3, 3, 0)
 
+    def test_false_under_a_binding_is_decided(self, int_alg, monkeypatch):
+        """subst_formula meets false under a non-empty theta, and every case is decided clean."""
+        reached = []
+        real = oracle.subst_formula
+
+        def spy(f, theta, J, _fresh=None):
+            if f == BOTTOM and not theta.is_empty():
+                reached.append(f)
+            return real(f, theta, J, _fresh)
+
+        monkeypatch.setattr(oracle, "subst_formula", spy)
+        texts = ("false", "~false", "x = 1 | false", "~(x = 1 & false)")
+        corpus = [(F(t, int_alg), pair((), parse_subst("{x/1}", int_alg))) for t in texts]
+        report = check_soundness(corpus, get_policy("baseline"), int_alg, B)
+        assert report.passed and report.decided == len(texts), report.violations
+        assert reached
+
     def test_passing_checks_print_no_state(self, int_alg, monkeypatch):
         def refuse(self):
             raise AssertionError("a passing check printed a state")
@@ -661,6 +678,22 @@ class TestCheckSoundness:
         monkeypatch.setattr(Pair, "__str__", refuse)
         corpus = [(F("y = z - 1 & z = x + 2", int_alg), pair((), EMPTY_SUBST))]
         assert check_soundness(corpus, get_policy("atoms"), int_alg, B).passed
+
+
+def test_more_than_two_quantifier_levels_are_refused(int_alg):
+    """_int_candidates sizes its witness windows for at most two nested levels."""
+    two = F("exists a. exists b. (a = b & b = x)", int_alg)
+    three = F("exists a. exists b. exists c. (a = b & b = c & c = x)", int_alg)
+    assert satisfiable([two], EMPTY_SUBST, int_alg, IntervalBound(0, 0)) is True
+    assert satisfiable([three], EMPTY_SUBST, int_alg, IntervalBound(0, 0)) is None
+
+
+def test_rat_dnf_past_the_cap_across_formulas_is_refused(rat_alg):
+    """Each formula's DNF is small; their product, 2^9 clauses, passes _DNF_CAP."""
+    store = [F(f"x{i} = 0 | x{i} = 1", rat_alg) for i in range(9)]
+    assert 2**8 <= _DNF_CAP < 2**9
+    assert satisfiable(store[:8], EMPTY_SUBST, rat_alg, B) is True
+    assert satisfiable(store, EMPTY_SUBST, rat_alg, B) is None
 
 
 class TestLemmaFragment:

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -296,3 +297,11 @@ class TestFreshNames:
         monkeypatch.setattr(syntax, "formula_to_str", refuse)
         out = run("y < z & y = 1 & z = 2", int_alg, policy="atoms")
         assert out == (pair((), parse_subst("{y/1, z/2}", int_alg)),)
+
+
+def test_readme_library_example_runs():
+    """README's Library block runs as written, its asserts included, so it cannot drift."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert block.count("\nassert ") == 2
+    exec(compile(block, "README.md", "exec"), {})
