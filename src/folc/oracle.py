@@ -14,10 +14,12 @@ its last free variable has a value, so one failing conjunct rules out every
 extension of the partial assignment (Haralick and Elliott, "Increasing tree
 search efficiency for constraint satisfaction problems", Artificial
 Intelligence 14, 1980).  A quantifier remembers its verdict for each
-assignment of its own free variables, and an entailment does not search for the
-conclusion conjuncts that its premises already state.  None of this changes
-a verdict: which queries are admitted, and over which candidates, is
-decided before any of it.
+assignment of its own free variables.  Before any of that, each conjunct is
+simplified under all the others: an occurrence of another conjunct inside it
+reads true, one of a negated conjunct's body reads false, and constants fold,
+so a query whose own conjuncts already state its answer is answered with no
+search at all.  None of this changes a verdict: which queries are admitted,
+and over which candidates, is decided before any of it.
 
 Over the exact rationals bounded enumeration cannot work (the order is
 dense), so linear queries are decided exactly by Fourier-Motzkin
@@ -33,7 +35,6 @@ rather than 2^k.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -422,6 +423,102 @@ def _conjuncts(formulas) -> list:
     return out
 
 
+def _ground_value(t: Term, J: Algebra):
+    """The J-value of t, or _UNBOUND when t has a variable."""
+    if isinstance(t, Val):
+        return t.value
+    if isinstance(t, Var):
+        return _UNBOUND
+    args = []
+    for a in t.args:
+        value = _ground_value(a, J)
+        if value is _UNBOUND:
+            return _UNBOUND
+        args.append(value)
+    return J.functions[t.symbol](*args)
+
+
+def _negate(f):
+    return not f if f.__class__ is bool else Not(f)
+
+
+def _fold(f: Formula, facts: dict, bound: frozenset, J: Algebra):
+    """f with each proper subformula that facts maps to a truth value read as
+    that value, unless an enclosing exists binds one of its free variables
+    (bound holds the names bound above f), and with atoms and constants
+    folded: a Formula, True or False.
+
+    An atom whose sides are one term, or are both ground, is its truth value.
+    exists over a constant is that constant, since the quantifier candidates
+    are never empty.
+    """
+    if isinstance(f, ATOM_TYPES):
+        if f.lhs == f.rhs:
+            return f.rel in ("=", "<=")
+        lhs, rhs = _ground_value(f.lhs, J), _ground_value(f.rhs, J)
+        if lhs is _UNBOUND or rhs is _UNBOUND:
+            return f
+        return J.relations[f.rel](lhs, rhs)
+    if isinstance(f, Bottom):
+        return False
+    if isinstance(f, Exists):
+        inner = bound | {f.var}
+        parts = [f.body]
+    else:
+        inner = bound
+        parts = [f.body] if isinstance(f, Not) else [f.lhs, f.rhs]
+    for i, part in enumerate(parts):
+        known = facts.get(part)
+        if known is not None and (not inner or free_vars(part).isdisjoint(inner)):
+            parts[i] = known
+        else:
+            parts[i] = _fold(part, facts, inner, J)
+    if len(parts) == 1:
+        body = parts[0]
+        if body is f.body:
+            return f
+        if isinstance(f, Not):
+            return _negate(body)
+        return body if body.__class__ is bool else Exists(f.var, body)
+    lhs, rhs = parts
+    absorbing = isinstance(f, Or)  # the constant that decides f on its own
+    if lhs is absorbing or rhs is absorbing:
+        return absorbing
+    if lhs.__class__ is bool:
+        return rhs
+    if rhs.__class__ is bool:
+        return lhs
+    return f if lhs is f.lhs and rhs is f.rhs else type(f)(lhs, rhs)
+
+
+def _simplified(formulas, J: Algebra):
+    """The conjuncts of formulas, each simplified under all the others by
+    _fold, less those that fold to true; None when the conjunction is false.
+
+    The facts are the distinct conjuncts, each true, and the body of each
+    negated one, false; a conjunct and its negation contradict.  A negated
+    conjunct ~B is folded without its own fact, which would read B false.
+    """
+    conjuncts = list(dict.fromkeys(_conjuncts(formulas)))
+    facts = dict.fromkeys(conjuncts, True)
+    for c in conjuncts:
+        if isinstance(c, Not):
+            if facts.get(c.body) is True:
+                return None
+            facts[c.body] = False
+    out = []
+    for c in conjuncts:
+        if isinstance(c, Not):
+            folded = _negate(_fold(c.body, facts, _NO_NAMES, J))
+        else:
+            folded = _fold(c, facts, _NO_NAMES, J)
+        if folded is False:
+            return None
+        if folded is not True:
+            out.append(folded)
+    return out
+
+
 def _enum_prepare(formulas, J: Algebra, bound, boost: int):
     """(the sorted free variables of the formulas, free candidates, quantifier
     candidates), or None when the guard or the cost cap refuses.
@@ -452,16 +549,32 @@ def _enum_exists(formulas, free_cands, J: Algebra, qcands):
     """Is there an assignment of free_cands to the free variables under which
     every formula holds?
 
-    Backtracking with one test per conjunct: each conjunct is compiled on
-    its own and tested as soon as its last free variable has a value, ground
-    ones before anything is bound, so a failing conjunct prunes every
+    The conjuncts are first simplified under each other (_simplified); when
+    that decides the conjunction, nothing is searched.  It keeps the
+    conjunction's truth on every assignment, by induction on the size of
+    the conjuncts.  If every conjunct holds there, every fact read is true.
+    Otherwise take a smallest false conjunct C.  A fact read inside C is
+    another conjunct, smaller than C and so true, or ~B for a body B inside
+    C.  That ~B is not C, whose own fact is not read; so it is smaller than
+    C, and true, or of C's size, and then C is exists v. B with v not free
+    in B, so C false makes B false.  Each fact read is true, no binder above
+    it rebinds its variables, and so C folds to false.  Replacing only
+    proper subformulas matters: two equal conjuncts would otherwise each
+    read the other true.
+
+    Then backtracking with one test per conjunct: each conjunct is compiled
+    on its own and tested as soon as its last free variable has a value,
+    ground ones before anything is bound, so a failing conjunct prunes every
     extension of the partial assignment at once.  Variables are bound fail
     first: those with the most single-variable conjuncts, then the most
     conjuncts, then by name.  The order cannot change the verdict, an
     existential over a finite product; nor can leaving out a variable that
     no conjunct mentions, since free_cands is never empty.
     """
-    tests = [_compile(f, J, qcands) for f in _conjuncts(formulas)]
+    conjuncts = _simplified(formulas, J)
+    if conjuncts is None:
+        return False
+    tests = [_compile(f, J, qcands) for f in conjuncts]
     unary, total = {}, {}
     for _, names in tests:
         for v in names:
@@ -497,20 +610,18 @@ def _enum_exists(formulas, free_cands, J: Algebra, qcands):
 def _enum_entails(premises, conclusion, J: Algebra, bound, boost: int):
     """Bounded entailment: no assignment satisfies the premises and ~conclusion.
 
-    Once the query is admitted, the conclusion's conjuncts that a premise
-    conjunct already states are dropped: under the premises ~(C1 & ... & Cn)
-    holds iff the negated conjunction of the others does.  When none is
-    left there is nothing to search.
+    The query is admitted, and its candidates chosen, on the formulas as
+    given; only then does _enum_exists simplify the conjuncts, so a
+    conclusion conjunct that a premise states reads true without a search,
+    and the guard and cost caps decide exactly what they decided before.
+    The rational decision (_rat_sat) is left unsimplified: its DNF is
+    refused past _DNF_CAP, and folding first would move those refusals.
     """
     prep = _enum_prepare(list(premises) + [conclusion], J, bound, boost)
     if prep is None:
         return UNKNOWN
     _, free_cands, qcands = prep
-    stated = _conjuncts(premises)
-    left = [c for c in _conjuncts([conclusion]) if c not in stated]
-    if not left:
-        return True
-    return not _enum_exists(stated + [Not(functools.reduce(And, left))], free_cands, J, qcands)
+    return not _enum_exists(list(premises) + [Not(conclusion)], free_cands, J, qcands)
 
 
 def _enum_sat(formulas, J: Algebra, bound, boost: int):

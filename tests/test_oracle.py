@@ -335,9 +335,13 @@ def _oracle_queries(J, policy, seed, n):
     ],
     ids=["int", "int-atoms", "herbrand"],
 )
-def test_compiled_search_matches_reference_walk(J, policy, bound):
-    decided = 0
+def test_compiled_search_matches_reference_walk(J, policy, bound, monkeypatch):
+    # the reference walks are never simplified; the compiled search is, and
+    # some of its decided queries are answered with no conjunct compiled
+    compiled = _count_compiles(monkeypatch)
+    decided = searchless = 0
     for premises, conclusion in _oracle_queries(J, policy, 41, 550):
+        before = len(compiled)
         if conclusion is None:
             got, want = _enum_sat(premises, J, bound, 0), _ref_sat(premises, J, bound)
         else:
@@ -345,7 +349,72 @@ def test_compiled_search_matches_reference_walk(J, policy, bound):
             want = _ref_entails(premises, conclusion, J, bound)
         assert got is want, (premises, conclusion)
         decided += want is not None
+        searchless += want is not None and len(compiled) == before
     assert decided >= 2000
+    assert searchless > 0
+
+
+def _count_compiles(monkeypatch):
+    """The formulas passed to oracle._compile from now on, recursive calls included."""
+    compiled = []
+    real = oracle._compile
+
+    def counting(f, J, qcands):
+        compiled.append(f)
+        return real(f, J, qcands)
+
+    monkeypatch.setattr(oracle, "_compile", counting)
+    return compiled
+
+
+class TestSimplifiedConjuncts:
+    def test_contradicting_conjuncts_are_answered_without_a_search(self, int_alg, monkeypatch):
+        compiled = _count_compiles(monkeypatch)
+        a = F("x < y", int_alg)
+        assert _enum_sat([a, Not(a)], int_alg, B, 0) is False
+        assert _enum_sat([F("~(x < y | ~(x < y))", int_alg)], int_alg, B, 0) is False
+        assert compiled == []
+
+    def test_premise_restated_in_a_disjunction_of_the_conclusion(self, int_alg, monkeypatch):
+        compiled = _count_compiles(monkeypatch)
+        premise = F("y + 2 = z - x", int_alg)
+        conclusion = F("(y + 2 = z - x | ~(y + 2 = z - x)) & y = y", int_alg)
+        assert _enum_entails([premise], conclusion, int_alg, B, 0) is True
+        assert _enum_entails([Not(premise)], conclusion, int_alg, B, 0) is True
+        assert _enum_entails([F("x = 1", int_alg)], F("(x = 1 | y < z) & z = z", int_alg), int_alg, B, 0) is True
+        assert compiled == []
+
+    def test_no_fact_reaches_under_a_binder_of_its_variables(self, int_alg):
+        premises, conclusion = [F("x = 1", int_alg)], F("exists x. ~(x = 1)", int_alg)
+        assert _enum_entails(premises, conclusion, int_alg, B, 0) is True
+        assert _ref_entails(premises, conclusion, int_alg, B) is True
+        # the fact does reach under a binder of other variables
+        assert oracle._simplified([*premises, F("exists y. ~(x = 1) & y < x", int_alg)], int_alg) is None
+
+    def test_a_negated_conjunct_is_not_read_under_its_own_fact(self, int_alg):
+        phi = F("~(exists y. y = x)", int_alg)
+        assert oracle._simplified([phi], int_alg) == [phi]
+        assert _enum_sat([phi], int_alg, B, 0) is False
+
+    @pytest.mark.parametrize("text", ["x - y = x - y", "x <= x", "1 + 2 = 3", "exists y. y = y"])
+    def test_folds_to_true(self, text, int_alg):
+        assert oracle._simplified([F(text, int_alg)], int_alg) == []
+
+    @pytest.mark.parametrize("text", ["x < x", "x /= x", "2 < 1", "exists y. y < y", "false", "~(x = x & y <= y)"])
+    def test_folds_to_false(self, text, int_alg):
+        assert oracle._simplified([F(text, int_alg)], int_alg) is None
+        assert _enum_sat([F(text, int_alg)], int_alg, B, 0) is False
+
+    def test_herbrand_ground_atoms_fold(self, herb):
+        assert oracle._simplified([F("f(a) /= f(b)", herb)], herb) == []
+        assert oracle._simplified([F("f(a) = f(b)", herb)], herb) is None
+        open_atom = F("f(x) /= f(b)", herb)
+        assert oracle._simplified([open_atom], herb) == [open_atom]
+
+    def test_equal_conjuncts_do_not_state_each_other(self, int_alg):
+        a = F("~(x < y)", int_alg)
+        assert oracle._simplified([a, a], int_alg) == [a]
+        assert _enum_sat([a, a], int_alg, B, 0) is True
 
 
 def test_conjuncts_split_only_what_a_conjunction_states(int_alg):
